@@ -34,7 +34,7 @@ from .errors import ManifestError, TropicalcError, UnknownReference
 from .manifest import Manifest, load_manifest, parse_manifest
 from .numeric import decimal_string
 from .poly import frac
-from .polyseg import PiecewiseFunction, evaluate
+from .polyseg import PiecewiseFunction
 from .randgen import random_function, random_radius, rng
 from .singular import classify, omega_at, scan
 

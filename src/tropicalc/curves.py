@@ -35,14 +35,13 @@ from .nevanlinna import (
     POLES_OF_F,
     POLES_OF_NEG_F,
     RadiusProfile,
-    _negated,
     _positive_radius,
     _tail_from_zero,
     _value_json,
     counting,
 )
 from .numeric import (
-    RootValue,
+    ExactValue,
     Scalar,
     exact_sum,
     scalar_eq,
@@ -60,7 +59,7 @@ from .polyseg import (
     shift,
     tropical_plus,
 )
-from .singular import POLE, ROOT, omega_at, scan
+from .singular import POLE, ROOT, scan
 
 
 def _fold_max(fns) -> PiecewiseFunction:
@@ -71,11 +70,9 @@ def _fold_max(fns) -> PiecewiseFunction:
 
 
 def _abs_value(v):
-    if isinstance(v, Fraction):
-        return abs(v)
-    if isinstance(v, RootValue):
-        return abs(v)
-    return v if value_sign(v) >= 0 else _negated(v)
+    if isinstance(v, ExactValue):
+        return v if value_sign(v) >= 0 else -v
+    return abs(v)
 
 
 @dataclass(frozen=True)
@@ -360,7 +357,7 @@ def smt_homogeneous_check(
         t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
         roots_sum = _counting_sum(g, r, POLES_OF_NEG_F)
         poles_sum = _counting_sum(g, r, POLES_OF_F)
-        diff = exact_sum([roots_sum, _negated(poles_sum)])
+        diff = exact_sum([roots_sum, -poles_sum])
         boundary = (evaluate(g, r) + evaluate(g, -r)) / 2 - g0
         identity_gap = exact_sum([diff, -boundary])
         combined = exact_sum([diff, -(d * t)])
@@ -471,20 +468,6 @@ def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
 # Casoratian balance
 
 
-def _point_count(fn: PiecewiseFunction, j: int, r: Fraction, a: Fraction, sign: str):
-    """Counting mass |omega_j(a)| (r-|a|)^j of the single rational point a."""
-    prof = omega_at(fn, a, j)
-    w = prof.omega_of(j)
-    if not isinstance(w, Fraction):
-        raise ValueError(
-            f"point window at {a} needs a rational jump weight, got {w!r}"
-        )
-    wanted = -1 if sign == POLES_OF_F else 1
-    if value_sign(w) != wanted:
-        return Fraction(0)
-    return abs(w) * (r - abs(a)) ** j
-
-
 def _window_count(
     fn: PiecewiseFunction,
     j: int,
@@ -504,12 +487,8 @@ def _window_count(
         lo, closed_lo = -r, False
     if hi > r:
         hi, closed_hi = r, False
-    if lo > hi:
+    if lo > hi or (lo == hi and not (closed_lo and closed_hi)):
         return Fraction(0)
-    if lo == hi:
-        if not (closed_lo and closed_hi):
-            return Fraction(0)
-        return _point_count(fn, j, r, lo, sign) / 2
     return counting(fn, j, r, (lo, hi, closed_lo, closed_hi), sign)
 
 
@@ -591,13 +570,13 @@ def casoratian_balance(
         c0_roots = exact_sum(
             [counting(c0, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)]
         )
-        lhs = _abs_value(exact_sum([comp_roots, _negated(c0_roots)]))
+        lhs = _abs_value(exact_sum([comp_roots, -c0_roots]))
         block1_terms = []
         for j in range(1, n + 1):
             c0_poles = counting(c0, j, r)
             shift_poles = exact_sum([counting(s, j, r) for s in shifted])
             block1_terms.append(
-                _abs_value(exact_sum([c0_poles, _negated(shift_poles)]))
+                _abs_value(exact_sum([c0_poles, -shift_poles]))
             )
         block1 = exact_sum(block1_terms)
         block2_terms = []
@@ -609,9 +588,9 @@ def casoratian_balance(
                 b = _window_count(
                     c.components[i], j2, r, -i * step, i * step, POLES_OF_NEG_F
                 )
-                block2_terms.append(_abs_value(exact_sum([a, _negated(b)])))
+                block2_terms.append(_abs_value(exact_sum([a, -b])))
         block2 = exact_sum(block2_terms)
-        excess = exact_sum([lhs, _negated(block1), _negated(block2)])
+        excess = exact_sum([lhs, -block1, -block2])
         rows.append(CasoratianRow(r, lhs, block1, block2, excess))
     if all(comp.degree_bound <= 1 for comp in c.components):
         comp_slope = sum(

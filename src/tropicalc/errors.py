@@ -28,6 +28,14 @@ class NonPositiveEps(TropicalcError):
     """A refinement/enclosure width request that is not strictly positive."""
 
 
+class PrecisionExhausted(TropicalcError):
+    """Interval refinement hit its step limit before deciding a sign or order.
+
+    Raised, for instance, for a sum of conjugate algebraic values that is
+    exactly zero but whose zero-ness the enclosures cannot certify.
+    """
+
+
 # ---------------------------------------------------------------------------
 # piecewise functions
 

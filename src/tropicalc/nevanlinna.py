@@ -36,9 +36,7 @@ from .errors import (
     ZeroShift,
 )
 from .numeric import (
-    AlgebraicNumber,
     ExactValue,
-    RootValue,
     Scalar,
     compare,
     exact_sum,
@@ -46,7 +44,6 @@ from .numeric import (
     real_roots_in,
     root_value,
     scalar_abs,
-    scalar_eq,
     scalar_sign,
     separators,
     sign_of,
@@ -68,9 +65,13 @@ from .polyseg import (
     plus_part,
     reflect,
     scale,
-    shift,
 )
-from .singular import POLE, ROOT, classify, omega_at, scan
+from .singular import (  # noqa: F401  (omega_at is re-exported)
+    _profiles_in,
+    classify,
+    omega_at,
+    scan,
+)
 
 POLES_OF_F = "poles_of_f"
 POLES_OF_NEG_F = "poles_of_neg_f"
@@ -111,14 +112,10 @@ def proximity(f: PiecewiseFunction, r):
 def _disk_term(z: Scalar, weight, j: int, r: Fraction):
     """weight * (r - |z|)^j, exactly, for a rational or algebraic location."""
     if isinstance(z, Fraction):
-        base = (r - abs(z)) ** j
-        if isinstance(weight, Fraction):
-            return weight * base
-        return weight * base  # RootValue * Fraction
+        return weight * (r - abs(z)) ** j
     s = scalar_sign(z)
     arm = Polynomial.from_coeffs((r, -1)) if s > 0 else Polynomial.from_coeffs((r, 1))
-    rv = root_value(arm**j, z)
-    return weight * rv if isinstance(weight, RootValue) else rv * weight
+    return weight * root_value(arm**j, z)
 
 
 def counting(
@@ -134,25 +131,33 @@ def counting(
     inside [-r, r]; the default window is the open disk (-r, r).
     """
     r = _positive_radius(r)
+    rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
+    terms = [_disk_term(s.location, s.multiplicity, j, r) for s in rows]
+    return _half(exact_sum(terms))
+
+
+def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
+    """The scan window and its (closed_left, closed_right) flags read from `sub`."""
+    if sub is None:
+        return (-r, r), (False, False)
+    lo, hi = sub[0], sub[1]
+    if compare(lo, -r) < 0 or compare(hi, r) > 0:
+        raise WindowOutOfRange(f"window [{lo}, {hi}] is not contained in [-{r}, {r}]")
+    closed_lo = bool(sub[2]) if len(sub) > 2 else False
+    closed_hi = bool(sub[3]) if len(sub) > 3 else False
+    return (lo, hi), (closed_lo, closed_hi)
+
+
+def _counted_rows(
+    f: PiecewiseFunction, j, sign: str, window=None, closed=(False, False)
+) -> list:
+    """The order-j poles of f (sign POLES_OF_F) or of -f in the window."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"order j must be an integer >= 1, got {j!r}")
     if sign not in (POLES_OF_F, POLES_OF_NEG_F):
         raise ValueError(f"unknown sign selector {sign!r}")
-    if sub is None:
-        lo, hi = -r, r
-        closed_lo = closed_hi = False
-    else:
-        lo, hi = sub[0], sub[1]
-        closed_lo = bool(sub[2]) if len(sub) > 2 else False
-        closed_hi = bool(sub[3]) if len(sub) > 3 else False
-        if compare(lo, -r) < 0 or compare(hi, r) > 0:
-            raise WindowOutOfRange(
-                f"window [{lo}, {hi}] is not contained in [-{r}, {r}]"
-            )
-    table = scan(f, (lo, hi), closed_left=closed_lo, closed_right=closed_hi)
-    rows = table.poles(j) if sign == POLES_OF_F else table.roots(j)
-    terms = [_disk_term(s.location, s.multiplicity, j, r) for s in rows]
-    return _half(exact_sum(terms))
+    table = scan(f, window, closed_left=closed[0], closed_right=closed[1])
+    return table.poles(j) if sign == POLES_OF_F else table.roots(j)
 
 
 def counting_oracle(
@@ -174,23 +179,7 @@ def counting_oracle(
     mesh = frac(mesh)
     if mesh <= 0:
         raise ValueError(f"mesh must be > 0, got {mesh}")
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"order j must be an integer >= 1, got {j!r}")
-    if sub is None:
-        window = (-r, r)
-        flags = {}
-    else:
-        if compare(sub[0], -r) < 0 or compare(sub[1], r) > 0:
-            raise WindowOutOfRange(
-                f"window [{sub[0]}, {sub[1]}] is not contained in [-{r}, {r}]"
-            )
-        window = (sub[0], sub[1])
-        flags = {
-            "closed_left": bool(sub[2]) if len(sub) > 2 else False,
-            "closed_right": bool(sub[3]) if len(sub) > 3 else False,
-        }
-    table = scan(f, window, **flags)
-    rows = table.poles(j) if sign == POLES_OF_F else table.roots(j)
+    rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
     thresholds: list[tuple[Fraction, Fraction]] = []
     for s in rows:
         z, w = s.location, s.multiplicity
@@ -232,14 +221,8 @@ def jensen_balance(f: PiecewiseFunction, r):
     r = _positive_radius(r)
     neg = scale(f, -1)
     return exact_sum(
-        [characteristic(f, r), _negated(characteristic(neg, r)), -evaluate(f, 0)]
+        [characteristic(f, r), -characteristic(neg, r), -evaluate(f, 0)]
     )
-
-
-def _negated(v):
-    if isinstance(v, Fraction):
-        return -v
-    return -v
 
 
 def counting_difference(h: PiecewiseFunction, r) -> tuple:
@@ -253,7 +236,7 @@ def counting_difference(h: PiecewiseFunction, r) -> tuple:
     lhs = exact_sum(
         [
             *(counting(h, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
-            *(_negated(counting(h, j, r)) for j in range(1, n + 1)),
+            *(-counting(h, j, r) for j in range(1, n + 1)),
         ]
     )
     rhs = exact_sum(
@@ -313,7 +296,7 @@ def jensen_report(f: PiecewiseFunction, r) -> JensenReport:
         [counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)]
     )
     poles = exact_sum([counting(f, j, r) for j in range(1, n + 1)])
-    reconstructed = exact_sum([boundary, _negated(roots), poles])
+    reconstructed = exact_sum([boundary, -roots, poles])
     reference = evaluate(f, 0)
     residual = exact_sum([reconstructed, -reference])
     return JensenReport(r, boundary, roots, poles, reconstructed, reference, residual)
@@ -364,8 +347,7 @@ def counting_profile(
 ) -> RadiusProfile:
     """Closed-form piecewise polynomial r -> N_j(r, f) on (0, r_max]."""
     r_max = _positive_radius(r_max)
-    table = scan(f)
-    rows = table.poles(j) if sign == POLES_OF_F else table.roots(j)
+    rows = _counted_rows(f, j, sign)
     entries: list[tuple[Fraction, Fraction]] = []
     for s in rows:
         if not isinstance(s.location, Fraction) or not isinstance(
@@ -513,19 +495,14 @@ def lemma31_sum(f: PiecewiseFunction, x, r, side: str):
         window = (-r, x)
     else:
         raise ValueError(f"side must be {RIGHT_TO_R!r} or {LEFT_TO_MINUS_R!r}")
-    candidates = [
-        bp
-        for bp in f.breakpoints
-        if compare(window[0], bp) < 0 and compare(bp, window[1]) < 0
-    ]
     terms = []
     for j in range(1, n + 1):
         if side == RIGHT_TO_R:
             terms.append(jets[j] * (r - x) ** j)
         else:
             terms.append(Fraction(-1) ** (j + 1) * jets[j] * (r + x) ** j)
-    for y in candidates:
-        profile = omega_at(f, y, n)
+    for profile in _profiles_in(f, *window):
+        y = profile.location
         for j in range(1, n + 1):
             tau = profile.tau_of(j)
             if value_sign(tau) == 0:
@@ -545,23 +522,17 @@ def _mul_power(weight, y: Scalar, r: Fraction, j: int, minus: bool):
         base = (r - y) ** j if minus else (r + y) ** j
         return weight * base
     arm = Polynomial.from_coeffs((r, -1) if minus else (r, 1)) ** j
-    rv = root_value(arm, y)
-    return weight * rv if isinstance(weight, RootValue) else rv * weight
+    return weight * root_value(arm, y)
 
 
 def _scale_value(v, c: Fraction):
-    if isinstance(v, Fraction):
-        return v * c
-    if isinstance(v, RootValue):
-        return v * c
-    return v.scale(c)
+    if isinstance(v, ExactValue):
+        return v.scale(c)
+    return v * c
 
 
 # ---------------------------------------------------------------------------
 # Poisson-Jensen
-
-
-_REGIONS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9")
 
 
 def _region_of(y: Scalar, x: Fraction) -> str:
@@ -615,41 +586,6 @@ def _left_factor_D(region: str, j: int) -> int:
     if region in ("F8", "F9"):
         return 1 - (-1) ** j
     return 0
-
-
-def _direct_weight(region: str, j: int, jet_plus, jet_minus, y: Scalar, which: str):
-    """Ω/Γ at y straight from one-sided jets (no omega bookkeeping)."""
-    sy = scalar_sign(y)
-    sp = sy if sy != 0 else 1
-    sm = sy if sy != 0 else -1
-    omega = sp ** (j + 1) * jet_plus - sm ** (j + 1) * jet_minus
-    tau = jet_plus - jet_minus
-    both = jet_plus + jet_minus
-    if which == "B":
-        table = {
-            "F1": omega,
-            "F2": omega,
-            "F3": omega,
-            "F4": (-1) ** (j + 1) * omega,
-            "F5": (-1) ** (j + 1) * omega,
-            "F6": tau,
-            "F7": (-1) ** (j + 1) * tau,
-            "F8": tau if j % 2 == 1 else both,
-            "F9": tau if j % 2 == 1 else both,
-        }
-    else:
-        table = {
-            "F1": -omega,
-            "F2": omega,
-            "F3": jet_plus + (-1) ** (j + 1) * jet_minus,
-            "F4": (-1) ** j * omega,
-            "F5": (-1) ** (j + 1) * omega,
-            "F6": tau,
-            "F7": (-1) ** j * tau,
-            "F8": tau if j % 2 == 0 else both,
-            "F9": tau if j % 2 == 0 else both,
-        }
-    return table[region]
 
 
 @dataclass(frozen=True)
@@ -761,13 +697,14 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
     contributions: list[SingularityContribution] = []
     b_terms = []
     d_terms = []
-    for y in _singular_points(f, -r, r):
-        profile = omega_at(f, y, n)
-        jets_plus = evaluate_jet(f, y, PLUS, n)
+    for profile in _profiles_in(f, -r, r):
+        y = profile.location
         jets_minus = evaluate_jet(f, y, MINUS, n)
         region = _region_of(y, x)
         for j in range(1, n + 1):
             w = profile.omega_of(j)
+            if value_sign(w) == 0:
+                continue
             left_jet = jets_minus[j]
             omega_weight = exact_sum(
                 [
@@ -781,17 +718,11 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
                     _scale_value(left_jet, Fraction(_left_factor_D(region, j))),
                 ]
             )
-            direct_b = _direct_weight(region, j, jets_plus[j], jets_minus[j], y, "B")
-            direct_d = _direct_weight(region, j, jets_plus[j], jets_minus[j], y, "D")
-            _assert_same(omega_weight, direct_b, y, j, "B")
-            _assert_same(gamma_weight, direct_d, y, j, "D")
-            if value_sign(w) == 0:
-                continue
             energy = _energy_power(r, x, y, j)
             sb = Fraction(_omega_factor_B(region, j)) * _b_aux(r, x, n - j) / (2 * b_n)
             sd = Fraction(_omega_factor_D(region, j)) * _d_aux(r, x, n - j) / (2 * b_n)
-            b_term = _scale_value(_mul_values(w, energy), sb)
-            d_term = _scale_value(_mul_values(w, energy), sd)
+            b_term = _scale_value(w * energy, sb)
+            d_term = _scale_value(w * energy, sd)
             b_terms.append(b_term)
             d_terms.append(d_term)
             contributions.append(
@@ -818,8 +749,8 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
         [
             boundary_mean,
             slope_term,
-            _negated(b_sum),
-            _negated(d_sum),
+            -b_sum,
+            -d_sum,
             -correction_x,
             -correction_zero,
         ]
@@ -840,42 +771,6 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
         f_x,
         residual,
     )
-
-
-def _mul_values(a, b):
-    """Product of Fraction/RootValue values living at one shared root."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return a * b
-
-
-def _assert_same(a, b, y, j, tag) -> None:
-    diff = exact_sum([a, _negate_any(b)])
-    if isinstance(diff, Fraction):
-        ok = diff == 0
-    else:
-        lo, hi = diff.enclosure(Fraction(1, 10**20))
-        ok = lo <= 0 <= hi
-    if not ok:
-        raise RuntimeError(
-            f"internal weight mismatch ({tag}) at y={y!r}, order {j}: {a!r} vs {b!r}"
-        )
-
-
-def _negate_any(v):
-    if isinstance(v, Fraction):
-        return -v
-    return -v
-
-
-def _singular_points(f: PiecewiseFunction, lo, hi) -> list[Scalar]:
-    pts = [bp for bp in f.breakpoints if compare(lo, bp) < 0 and compare(bp, hi) < 0]
-    zero_inside = compare(lo, Fraction(0)) < 0 and compare(Fraction(0), hi) < 0
-    if zero_inside and not any(scalar_sign(p) == 0 for p in pts):
-        pts.append(Fraction(0))
-    from .numeric import sort_scalars
-
-    return sort_scalars(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ cancels exactly within each root and encloses the remainder on demand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyWindow, NonPositiveEps, ZeroPolynomial
+from .errors import EmptyWindow, NonPositiveEps, PrecisionExhausted, ZeroPolynomial
 from .poly import Polynomial, frac, poly_gcd, squarefree_part
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -301,7 +300,7 @@ class AlgebraicNumber:
             self._halve()
             steps += 1
             if steps > _MAX_REFINE_STEPS:
-                raise RuntimeError("interval refinement did not converge")
+                raise PrecisionExhausted("interval refinement did not converge")
         return self._lo, self._hi
 
     # -- numeric views --------------------------------------------------------
@@ -474,7 +473,7 @@ def _separate(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
             return GREATER
         a._halve()
         b._halve()
-    raise RuntimeError("failed to separate distinct algebraic numbers")
+    raise PrecisionExhausted("failed to separate distinct algebraic numbers")
 
 
 def refine(s: Scalar, eps) -> tuple[Fraction, Fraction]:
@@ -495,16 +494,8 @@ def scalar_sign(s: Scalar) -> int:
     return sign_of(frac(s) if not isinstance(s, Fraction) else s)
 
 
-def scalar_neg(s: Scalar) -> Scalar:
-    return -s
-
-
 def scalar_abs(s: Scalar) -> Scalar:
     return -s if scalar_sign(s) < 0 else s
-
-
-def scalar_float(s: Scalar) -> float:
-    return float(s)
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
@@ -539,23 +530,6 @@ def poly_sign_at(p: Polynomial, s: Scalar) -> int:
     if isinstance(s, Fraction):
         return sign_of(p(s))
     return root_value(p, s).sign()
-
-
-def poly_nonneg_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
-    """Exact check that p >= 0 everywhere on the closed interval [lo, hi]."""
-    if lo > hi:
-        raise EmptyWindow(f"interval [{lo}, {hi}] is empty")
-    if p.is_zero:
-        return True
-    if p(lo) < 0 or p(hi) < 0:
-        return False
-    if lo == hi:
-        return True
-    interior = real_roots_in(p, lo, hi)
-    points: list[Fraction] = [lo]
-    points.extend(separators([lo, *interior, hi]))
-    points.append(hi)
-    return all(sign_of(p(x)) >= 0 for x in points)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +614,7 @@ class RootValue:
             if vhi < 0:
                 return -1
             self.root._halve()
-        raise RuntimeError("sign refinement did not converge")
+        raise PrecisionExhausted("sign refinement did not converge")
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -655,7 +629,7 @@ class RootValue:
             if vhi - vlo <= eps:
                 return vlo, vhi
             self.root._halve()
-        raise RuntimeError("enclosure refinement did not converge")
+        raise PrecisionExhausted("enclosure refinement did not converge")
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(Fraction(1, 10**18))
@@ -781,8 +755,6 @@ def value_enclosure(v, eps) -> tuple[Fraction, Fraction]:
 
 
 def value_float(v) -> float:
-    if isinstance(v, int):
-        return float(v)
     return float(v)
 
 
@@ -805,7 +777,7 @@ def value_sign(v) -> int:
             if hi < 0:
                 return -1
             eps /= 16
-        raise RuntimeError(
+        raise PrecisionExhausted(
             "cannot resolve the sign of a near-zero mixed algebraic sum exactly"
         )
     raise TypeError(f"no sign for {v!r}")

@@ -11,6 +11,12 @@ A positive omega_j marks an order-j root, a negative one an order-j pole,
 and |omega_j| is its multiplicity.  The origin is always probed: a function
 can be smooth there and still carry an even-order root or pole (e.g. the
 global parabola -x^2 hides an order-2 pole of multiplicity 2 at 0).
+
+A function's singularity table -- its jump profiles at every breakpoint and
+at the origin -- is computed once, on first use, and kept on the (immutable)
+function.  `scan` reads its rows off the profiles inside a window, and
+`classify`, the counting functionals and their profiles, the Jensen and
+Poisson-Jensen reports and the curve checks all read the same table.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ ROOT = "root"
 POLE = "pole"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JumpProfile:
     """Order-indexed jump data at one point; entry k is order j = k+1."""
 
@@ -85,8 +91,6 @@ def omega_at(
     jet_plus = evaluate_jet(f, x, PLUS, n)
     jet_minus = evaluate_jet(f, x, MINUS, n)
     s = scalar_sign(x)
-    sgn_plus = s if s != 0 else 1
-    sgn_minus = s if s != 0 else -1
     def collapse(v):
         if isinstance(v, RootValue) and v.is_rational:
             return v.as_fraction()
@@ -95,13 +99,12 @@ def omega_at(
     omega = []
     tau = []
     for j in range(1, n + 1):
-        tau.append(collapse(jet_plus[j] - jet_minus[j]))
-        omega.append(
-            collapse(
-                sgn_plus ** (j + 1) * jet_plus[j]
-                - sgn_minus ** (j + 1) * jet_minus[j]
-            )
-        )
+        t = collapse(jet_plus[j] - jet_minus[j])
+        tau.append(t)
+        if s == 0:  # sgn(0+)^(j+1) = 1, sgn(0-)^(j+1) = (-1)^(j+1)
+            omega.append(collapse(jet_plus[j] + (-1) ** j * jet_minus[j]))
+        else:  # omega_j = sgn(x)^(j+1) tau_j, sharing tau's value where equal
+            omega.append(t if s ** (j + 1) > 0 else -t)
     return JumpProfile(x, tuple(omega), tuple(tau))
 
 
@@ -204,6 +207,30 @@ def _candidate_points(f: PiecewiseFunction) -> list[Scalar]:
     return sort_scalars(candidates)
 
 
+def _profiles(f: PiecewiseFunction) -> tuple[JumpProfile, ...]:
+    """Jump profiles at f's candidate points, computed once and kept on f."""
+    profiles = getattr(f, "_jump_profiles", None)
+    if profiles is None:
+        profiles = tuple(omega_at(f, x) for x in _candidate_points(f))
+        object.__setattr__(f, "_jump_profiles", profiles)
+    return profiles
+
+
+def _profiles_in(
+    f: PiecewiseFunction, lo, hi, closed_left: bool = False, closed_right: bool = False
+) -> list[JumpProfile]:
+    """f's jump profiles inside the window (lo, hi), open unless a side is closed."""
+    kept = []
+    for p in _profiles(f):
+        cl = compare(lo, p.location)
+        ch = compare(p.location, hi)
+        if (cl < 0 or (cl == 0 and closed_left)) and (
+            ch < 0 or (ch == 0 and closed_right)
+        ):
+            kept.append(p)
+    return kept
+
+
 def scan(
     f: PiecewiseFunction,
     window: tuple | None = None,
@@ -211,31 +238,26 @@ def scan(
     closed_left: bool = False,
     closed_right: bool = False,
 ) -> SingularityTable:
-    """All singularities of f (inside the window, open by default)."""
-    candidates = _candidate_points(f)
+    """All singularities of f (inside the window, open by default).
+
+    A window [a, a] closed on both sides selects the single point a.
+    """
+    profiles = _profiles(f)
     if window is not None:
         from .polyseg import _as_scalar
 
         lo, hi = _as_scalar(window[0]), _as_scalar(window[1])
-        if compare(lo, hi) >= 0:
+        c = compare(lo, hi)
+        if c > 0 or (c == 0 and not (closed_left and closed_right)):
             raise EmptyWindow(f"scan window ({lo}, {hi}) is empty")
-        kept = []
-        for x in candidates:
-            cl = compare(lo, x)
-            ch = compare(x, hi)
-            if (cl < 0 or (cl == 0 and closed_left)) and (
-                ch < 0 or (ch == 0 and closed_right)
-            ):
-                kept.append(x)
-        candidates = kept
+        profiles = _profiles_in(f, lo, hi, closed_left, closed_right)
     rows: list[Singularity] = []
-    for x in candidates:
-        profile = omega_at(f, x)
-        for order, w in profile.entries():
+    for profile in profiles:
+        for order, w in enumerate(profile.omega, start=1):
             sign = value_sign(w)
-            rows.append(
-                Singularity(x, order, ROOT if sign > 0 else POLE, abs(w))
-            )
+            if sign:
+                kind = ROOT if sign > 0 else POLE
+                rows.append(Singularity(profile.location, order, kind, abs(w)))
     return SingularityTable(tuple(rows))
 
 
@@ -360,14 +382,14 @@ def entire_decomposition(
                 f"seed has {len(seed_coeffs)} coefficients, function order is {n}"
             )
 
+    omega = {p.location: p.omega for p in _profiles(f)}  # sorted, includes 0
+
     def compensation(x) -> list[Fraction] | None:
-        w = omega_at(f, x, n).omega
-        comp = [(-wj if wj < 0 else Fraction(0)) for wj in w]
+        comp = [(-wj if wj < 0 else Fraction(0)) for wj in omega[x]]
         return comp if any(comp) else None
 
-    points = _candidate_points(f)  # rational, sorted, includes 0
-    positive = [x for x in points if x > 0]
-    negative = [x for x in points if x < 0]
+    positive = [x for x in omega if x > 0]
+    negative = [x for x in omega if x < 0]
 
     def with_constant(high: list[Fraction], const: Fraction) -> Polynomial:
         return Polynomial.from_coeffs([const, *high])
@@ -390,8 +412,7 @@ def entire_decomposition(
         cur = nxt
 
     # cross the origin
-    w0 = omega_at(f, Fraction(0), n).omega
-    comp0 = [(-wj if wj < 0 else Fraction(0)) for wj in w0]
+    comp0 = [(-wj if wj < 0 else Fraction(0)) for wj in omega[Fraction(0)]]
     left_high = [
         Fraction(-1) ** (j + 1) * (seed_coeffs[j] - comp0[j - 1])
         for j in range(1, n + 1)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -391,3 +392,16 @@ def test_manifest_from_path(capsys, tmp_path):
     )
     assert rc == 0
     assert out == EXPECTED_TABLE
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmark" / "cli_demo_golden.json"
+DEMO_COMMANDS = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "entry", DEMO_COMMANDS, ids=[" ".join(e["argv"]) for e in DEMO_COMMANDS]
+)
+def test_demo_stdout_matches_golden(capsys, entry):
+    rc, out, _ = invoke(capsys, *entry["argv"])
+    assert rc == 0
+    assert out == entry["stdout"]

@@ -34,8 +34,20 @@ from tropicalc.nevanlinna import (
     profile_flags,
     proximity,
 )
-from tropicalc.polyseg import evaluate, piecewise
-from tropicalc.singular import omega_at
+from tropicalc.numeric import exact_sum, scalar_sign
+from tropicalc.poly import Polynomial
+from tropicalc.polyseg import (
+    MINUS,
+    PLUS,
+    constant,
+    evaluate,
+    evaluate_jet,
+    linear_combine,
+    piecewise,
+    tropical_plus,
+)
+from tropicalc.randgen import random_rational, rng
+from tropicalc.singular import classify, omega_at, scan
 
 
 R = F(5, 2)
@@ -85,6 +97,28 @@ def test_counting_window_must_fit_disk(showcase):
 def test_counting_rejects_bad_order(showcase):
     with pytest.raises(ValueError):
         counting(showcase, 0, R)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: counting(f, 1, R, sign="bogus"),
+        lambda f: counting_oracle(f, 0, R, F(1, 10)),
+        lambda f: counting_oracle(f, 1, R, F(1, 10), sign="bogus"),
+        lambda f: counting_profile(f, 0, R),
+        lambda f: counting_profile(f, 1, R, sign="bogus"),
+    ],
+    ids=[
+        "counting-sign",
+        "oracle-order",
+        "oracle-sign",
+        "profile-order",
+        "profile-sign",
+    ],
+)
+def test_counting_selectors_are_validated(showcase, call):
+    with pytest.raises(ValueError):
+        call(showcase)
 
 
 def test_radius_must_be_positive(showcase):
@@ -180,6 +214,105 @@ def test_poisson_jensen_rejects_boundary_points(showcase):
         poisson_jensen(showcase, R, R)
     with pytest.raises(PointOutsideDisk):
         poisson_jensen(showcase, -3, R)
+
+
+def _region_weights(region, j, jet_plus, jet_minus, y):
+    """(Omega, Gamma) weights of the region decomposition, from one-sided jets."""
+    sy = scalar_sign(y)
+    sp = sy if sy != 0 else 1
+    sm = sy if sy != 0 else -1
+    omega = sp ** (j + 1) * jet_plus - sm ** (j + 1) * jet_minus
+    tau = jet_plus - jet_minus
+    both = jet_plus + jet_minus
+    odd = j % 2 == 1
+    b = {
+        "F1": omega,
+        "F2": omega,
+        "F3": omega,
+        "F4": (-1) ** (j + 1) * omega,
+        "F5": (-1) ** (j + 1) * omega,
+        "F6": tau,
+        "F7": (-1) ** (j + 1) * tau,
+        "F8": tau if odd else both,
+        "F9": tau if odd else both,
+    }[region]
+    d = {
+        "F1": -omega,
+        "F2": omega,
+        "F3": jet_plus + (-1) ** (j + 1) * jet_minus,
+        "F4": (-1) ** j * omega,
+        "F5": (-1) ** (j + 1) * omega,
+        "F6": tau,
+        "F7": (-1) ** j * tau,
+        "F8": both if odd else tau,
+        "F9": both if odd else tau,
+    }[region]
+    return b, d
+
+
+def _jumping_at(points, seed):
+    """A cubic with nonzero jumps of every order at each rational point."""
+    rnd = rng(seed)
+    x = Polynomial.of(0, 1)
+    segs = [Polynomial.of(*(random_rational(rnd) for _ in range(4)))]
+    for bp in points:
+        jump = Polynomial.zero()
+        for j in range(1, 4):
+            t = random_rational(rnd, 1, 2)
+            jump = jump + (x - Polynomial.of(bp)) ** j * Polynomial.of(t)
+        segs.append(segs[-1] + jump)
+    return piecewise(points, segs)
+
+
+def test_poisson_jensen_region_weights_match_one_sided_jets():
+    points = [F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)]
+    envelope = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))  # +-sqrt(2)
+    functions = [_jumping_at(points, seed) for seed in (1, 2)]
+    functions.append(linear_combine(functions[0], envelope, 1, 1))
+    r = F(2)
+    seen = set()
+    for f in functions:
+        n = f.degree_bound
+        for x in (F(0), F(1), F(-1)):  # origin, and breakpoints on either side
+            rep = poisson_jensen(f, x, r)
+            assert rep.passed()
+            for c in rep.contributions:
+                y, j = c.location, c.order
+                jet_plus = evaluate_jet(f, y, PLUS, n)[j]
+                jet_minus = evaluate_jet(f, y, MINUS, n)[j]
+                b, d = _region_weights(c.region, j, jet_plus, jet_minus, y)
+                assert exact_sum([c.omega_weight, -b]) == 0, (y, j)
+                assert exact_sum([c.gamma_weight, -d]) == 0, (y, j)
+                seen.add((c.region, isinstance(y, F)))
+    assert {region for region, _ in seen} == {f"F{k}" for k in range(1, 10)}
+    assert any(not rational for _, rational in seen)
+
+
+def test_each_function_is_analysed_once(showcase, monkeypatch):
+    import tropicalc.singular as singular
+
+    calls = []
+    original = singular.omega_at
+
+    def counted(f, x, *rest, **kwargs):
+        calls.append(x)
+        return original(f, x, *rest, **kwargs)
+
+    monkeypatch.setattr(singular, "omega_at", counted)
+    f = piecewise(showcase.breakpoints, showcase.segments)  # fresh, unanalysed
+    scan(f)
+    assert len(calls) == len(f.breakpoints) + 1  # every breakpoint and the origin
+    jensen_report(f, R)
+    characteristic(f, R)
+    poisson_jensen(f, F(1, 2), R)
+    lemma31_sum(f, F(1, 2), R, RIGHT_TO_R)
+    lemma31_sum(f, F(1, 2), R, LEFT_TO_MINUS_R)
+    scan(f, (-1, 2), closed_right=True)
+    counting(f, 2, R, sub=(-2, 1, True, False))
+    counting(f, 1, R, sub=(1, 1, True, True))
+    counting_profile(f, 1, R)
+    classify(f)
+    assert len(calls) == len(f.breakpoints) + 1
 
 
 def test_poisson_jensen_itemizes_contributions(showcase):

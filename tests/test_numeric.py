@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropicalc.errors import PrecisionExhausted, TropicalcError
 from tropicalc.numeric import (
     AlgebraicNumber,
     algebraic_root,
@@ -150,3 +151,13 @@ def test_decimal_string_is_exact_rounding():
 def test_algebraic_requires_sign_change():
     with pytest.raises(ValueError):
         algebraic_root(Polynomial.of(-2, 0, 1), F(2), F(3))
+
+
+def test_undecidable_conjugate_sum_raises_a_typed_error():
+    # sqrt(2) + (-sqrt(2)) is exactly zero, but the two terms live at
+    # different roots, so only ever-narrower enclosures of 0 are available
+    x = Polynomial.of(0, 1)
+    total = exact_sum([root_value(x, SQRT2), root_value(x, NEG_SQRT2)])
+    with pytest.raises(PrecisionExhausted):
+        value_sign(total)
+    assert issubclass(PrecisionExhausted, TropicalcError)

@@ -3,7 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from tropicalc.errors import EmptyWindow
-from tropicalc.polyseg import linear_combine, piecewise, scale, shift
+from tropicalc.numeric import compare, scalar_eq, sort_scalars, value_sign
+from tropicalc.polyseg import (
+    constant,
+    linear_combine,
+    piecewise,
+    scale,
+    shift,
+    tropical_plus,
+)
+from tropicalc.randgen import random_function, random_rational, rng
 from tropicalc.singular import (
     POLE,
     ROOT,
@@ -104,6 +113,47 @@ def test_scan_window_boundaries(showcase):
     assert {s.location for s in closed.rows} == {F(-2), F(-1), F(0), F(1), F(2)}
     with pytest.raises(EmptyWindow):
         scan(showcase, (3, 3))
+    point = scan(showcase, (1, 1), closed_left=True, closed_right=True)
+    assert [(s.location, s.order) for s in point.rows] == [(F(1), 1), (F(1), 2)]
+    with pytest.raises(EmptyWindow):
+        scan(showcase, (1, 1), closed_left=True)
+
+
+def _direct_scan(f, lo, hi, closed_left, closed_right):
+    """Window rows straight from omega_at at each candidate point, no table."""
+    points = list(f.breakpoints)
+    if not any(scalar_eq(p, 0) for p in points):
+        points.append(F(0))
+    rows = []
+    for x in sort_scalars(points):
+        cl, ch = compare(lo, x), compare(x, hi)
+        if (cl < 0 or (cl == 0 and closed_left)) and (
+            ch < 0 or (ch == 0 and closed_right)
+        ):
+            for order, w in omega_at(f, x).entries():
+                kind = ROOT if value_sign(w) > 0 else POLE
+                rows.append((x, order, kind, abs(w)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_windowed_scan_matches_direct_scan(seed):
+    rnd = rng(seed)
+    f = random_function(rnd, degree=3, max_breaks=6)
+    if seed % 2:  # add crossings at +-sqrt(2)
+        f = linear_combine(f, tropical_plus(piecewise([], [[0, 0, 1]]), constant(2)))
+    scan(f)  # the table is built here; every window below filters it
+    marks = sorted({*f.breakpoints[:3], F(0), random_rational(rnd)}, key=float)
+    windows = [(a, a, True, True) for a in marks]  # closed point windows
+    for _ in range(12):
+        ends = [*marks, random_rational(rnd), random_rational(rnd)]
+        lo, hi = sorted(rnd.sample(ends, 2), key=float)
+        if compare(lo, hi) < 0:
+            windows.append((lo, hi, rnd.random() < 0.5, rnd.random() < 0.5))
+    for lo, hi, cl, cr in windows:
+        got = scan(f, (lo, hi), closed_left=cl, closed_right=cr)
+        rows = [(s.location, s.order, s.kind, s.multiplicity) for s in got.rows]
+        assert rows == _direct_scan(f, lo, hi, cl, cr), (lo, hi, cl, cr)
 
 
 def test_classify_flags():
