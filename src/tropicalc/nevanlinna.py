@@ -64,7 +64,6 @@ from .polyseg import (
     piecewise,
     plus_part,
     reflect,
-    scale,
 )
 from .singular import (  # noqa: F401  (omega_at is re-exported)
     _profiles_in,
@@ -217,11 +216,23 @@ def characteristic(f: PiecewiseFunction, r):
 
 
 def jensen_balance(f: PiecewiseFunction, r):
-    """T(r, f) - T(r, -f) - f(0); exactly zero by the Jensen identity."""
+    """T(r, f) - T(r, -f) - f(0); exactly zero by the Jensen identity.
+
+    T(r, -f) is read off f itself: the poles of -f are f's roots, and
+    m(r, -f) takes the positive part of -f(r) and -f(-r).
+    """
     r = _positive_radius(r)
-    neg = scale(f, -1)
+    n = max(1, f.degree_bound)
+    proximity_neg = (
+        _clamp_nonneg(-evaluate(f, r)) + _clamp_nonneg(-evaluate(f, -r))
+    ) / 2
     return exact_sum(
-        [characteristic(f, r), -characteristic(neg, r), -evaluate(f, 0)]
+        [
+            characteristic(f, r),
+            -proximity_neg,
+            *(-counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
+            -evaluate(f, 0),
+        ]
     )
 
 
@@ -560,6 +571,9 @@ def _omega_factor_B(region: str, j: int) -> int:
     return 1 if region in ("F1", "F2", "F3", "F6", "F8") else (-1) ** (j + 1)
 
 
+_LEFT_JET_REGIONS = ("F3", "F6", "F7", "F8", "F9")
+
+
 def _left_factor_B(region: str, j: int) -> int:
     if region in ("F6",):
         return (-1) ** (j + 1) - 1
@@ -699,13 +713,16 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
     d_terms = []
     for profile in _profiles_in(f, -r, r):
         y = profile.location
-        jets_minus = evaluate_jet(f, y, MINUS, n)
         region = _region_of(y, x)
+        # The left factors vanish off y = 0 and y = x (regions F3, F6-F9).
+        jets_minus = (
+            evaluate_jet(f, y, MINUS, n) if region in _LEFT_JET_REGIONS else None
+        )
         for j in range(1, n + 1):
             w = profile.omega_of(j)
             if value_sign(w) == 0:
                 continue
-            left_jet = jets_minus[j]
+            left_jet = jets_minus[j] if jets_minus else Fraction(0)
             omega_weight = exact_sum(
                 [
                     _scale_value(w, Fraction(_omega_factor_B(region, j))),

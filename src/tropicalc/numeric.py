@@ -14,6 +14,7 @@ cancels exactly within each root and encloses the remainder on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -142,94 +143,48 @@ def sturm_isolate(
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization (for rational-root stripping)
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _divisors(n: int, trial_bound: int = 1_000_000) -> list[int] | None:
-    """All positive divisors of |n|, or None when factorization gives up."""
-    n = abs(n)
-    if n == 0:
-        return None
-    factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m and d <= trial_bound:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            return None  # composite cofactor beyond the trial bound
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime**e for dv in divs for e in range(mult + 1)]
-        if len(divs) > 50_000:
-            return None
-    return sorted(divs)
+# Rational roots
 
 
 def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
-    """Split off the rational roots of p (with multiplicity collapsed).
+    """Split off every rational root of p.
 
-    Returns (sorted distinct rational roots, cofactor with those roots removed
-    entirely).  Uses the rational-root theorem on the primitive form; if the
-    endpoints cannot be factored the stripping silently returns fewer roots
-    (downstream comparisons stay exact, only the preferred representation of
-    such roots degrades to AlgebraicNumber).
+    Returns (sorted distinct rational roots, cofactor), where the cofactor is
+    the squarefree primitive part w of p with those roots divided out, so it
+    has no rational root left.  A rational root a/q of w has q | lead(w) = L
+    (the rational-root theorem), and two such rationals lie at least 1/L^2
+    apart.  So an isolating interval of width below 1/(2 L^2) holds at most
+    one candidate, the rational of denominator <= L nearest its midpoint; it
+    is the interval's root if it lies inside and w vanishes there.  Degrees
+    1 and 2 are solved directly.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
-    roots: list[Fraction] = []
-    x = Polynomial.identity()
-    # x = 0 roots first (lowest nonzero coefficient).
-    val = 0
-    while val < len(p.coeffs) and p.coeffs[val] == 0:
-        val += 1
-    if val:
-        roots.append(Fraction(0))
-        p = Polynomial(tuple(p.coeffs[val:]))
-    if p.degree >= 1:
-        prim = p.primitive()
-        num_divs = _divisors(int(prim.coeffs[0]))
-        den_divs = _divisors(int(prim.leading))
-        if num_divs is not None and den_divs is not None:
-            candidates = {
-                Fraction(s * a, b) for a in num_divs for b in den_divs for s in (1, -1)
-            }
-            for c in sorted(candidates):
-                if p(c) == 0:
-                    roots.append(c)
-                    while p(c) == 0 and p.degree >= 1:
-                        p = p // (x - Polynomial.constant(c))
-    return sorted(roots), p
+    w = squarefree_part(p).primitive()
+    if w.degree <= 0:
+        return [], w
+    if w.degree == 1:
+        roots = [-w.coeffs[0] / w.coeffs[1]]
+    elif w.degree == 2:
+        c, b, a = (int(k) for k in w.coeffs)
+        disc = b * b - 4 * a * c  # nonzero: w is squarefree
+        s = math.isqrt(max(disc, 0))
+        roots = []
+        if s * s == disc:
+            roots = [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    else:
+        lead = int(w.leading)
+        width = Fraction(1, 2 * lead * lead)
+        bound = cauchy_root_bound(w)
+        roots = []
+        for interval in sturm_isolate(w, (-bound - 1, bound + 1)):
+            lo, hi = AlgebraicNumber(w, *interval).refine_to(width)
+            candidate = ((lo + hi) / 2).limit_denominator(lead)
+            if lo < candidate < hi and w(candidate) == 0:
+                roots.append(candidate)
+    for root in roots:
+        w = w // Polynomial.from_coeffs((-root.numerator, root.denominator))
+    return roots, w
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +192,26 @@ def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
 
 
 class AlgebraicNumber:
-    """A real irrational root of an integer polynomial, isolated by an interval.
+    """A real root of an integer polynomial, isolated by an interval.
 
-    The defining polynomial is squarefree with primitive integer coefficients
-    and positive leading coefficient, and has had its rational roots stripped
-    whenever the coefficients factor; the interval (lo, hi) has rational
-    non-root endpoints with a sign change and contains exactly one root.
+    The interval (lo, hi) has rational non-root endpoints with a sign change
+    and contains exactly one root.  Every number the library makes
+    (`algebraic_root`, `real_roots_in`) has a squarefree primitive defining
+    polynomial with positive leading coefficient and no rational root, so it
+    is irrational; the constructor itself does not check for rational roots.
     The interval narrows in place as comparisons demand (a cache, not state).
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_chain")
+    __slots__ = ("poly", "_lo", "_hi", "_lo_sign", "_chain")
 
     def __init__(self, poly: Polynomial, lo: Fraction, hi: Fraction):
         self.poly = poly
         self._lo = lo
         self._hi = hi
         self._chain: list[Polynomial] | None = None
-        if not (lo < hi and sign_of(poly(lo)) * sign_of(poly(hi)) < 0):
+        # The sign of poly at the left end; halving keeps it.
+        self._lo_sign = sign_of(poly(lo))
+        if not (lo < hi and self._lo_sign * sign_of(poly(hi)) < 0):
             raise ValueError(
                 f"({lo}, {hi}) is not a sign-change interval for {poly}"
             )
@@ -274,20 +232,21 @@ class AlgebraicNumber:
         mid = (self._lo + self._hi) / 2
         s = sign_of(self.poly(mid))
         if s == 0:
-            # A rational root that survived stripping: pinch next to it,
-            # keeping the sign-change invariant intact.
+            # mid is a rational root (only a polynomial that still has one,
+            # as inside strip_rational_roots): pinch next to it, keeping the
+            # sign-change invariant intact.
             offset = (self._hi - self._lo) / 4
             while True:
                 c, d = mid - offset, mid + offset
                 if self.poly(c) != 0 and self.poly(d) != 0:
                     break
                 offset /= 2
-            if sign_of(self.poly(self._lo)) * sign_of(self.poly(c)) < 0:
+            if sign_of(self.poly(c)) != self._lo_sign:
                 self._hi = c
             else:
                 self._lo, self._hi = c, d
             return
-        if s == sign_of(self.poly(self._lo)):
+        if s == self._lo_sign:
             self._lo = mid
         else:
             self._hi = mid
@@ -375,11 +334,8 @@ Scalar = Union[Fraction, AlgebraicNumber]
 
 def algebraic_root(poly: Polynomial, lo, hi) -> AlgebraicNumber:
     """Canonicalize and wrap: squarefree primitive poly, rationals stripped."""
-    w = squarefree_part(poly).primitive()
-    _, w = strip_rational_roots(w)
-    lo, hi = frac(lo), frac(hi)
-    w = _shave_endpoint_roots(w, lo, hi)
-    return AlgebraicNumber(w.primitive(), lo, hi)
+    _, w = strip_rational_roots(poly)
+    return AlgebraicNumber(w, frac(lo), frac(hi))
 
 
 def real_roots_in(
@@ -399,10 +355,9 @@ def real_roots_in(
     whi = frac(hi) if hi is not None else bound
     if wlo >= whi:
         return []
-    rationals, rest = strip_rational_roots(squarefree_part(p))
+    rationals, rest = strip_rational_roots(p)
     roots: list[Scalar] = [q for q in rationals if wlo < q < whi]
     if rest.degree >= 1:
-        rest = rest.primitive()
         for a, b in sturm_isolate(rest, (min(wlo, -bound - 1), max(whi, bound + 1))):
             candidate = AlgebraicNumber(rest, a, b)
             if wlo < candidate and candidate < whi:

@@ -304,6 +304,7 @@ def test_each_function_is_analysed_once(showcase, monkeypatch):
     assert len(calls) == len(f.breakpoints) + 1  # every breakpoint and the origin
     jensen_report(f, R)
     characteristic(f, R)
+    jensen_balance(f, R)
     poisson_jensen(f, F(1, 2), R)
     lemma31_sum(f, F(1, 2), R, RIGHT_TO_R)
     lemma31_sum(f, F(1, 2), R, LEFT_TO_MINUS_R)

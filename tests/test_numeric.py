@@ -46,6 +46,17 @@ def test_rational_roots_come_back_as_fractions():
     assert isinstance(roots[0], AlgebraicNumber)
 
 
+def test_rational_root_with_unfactorable_denominator_is_a_fraction():
+    # P is a product of two primes past 10^6: trial division cannot split
+    # the leading coefficient of (P x - 1)(x^2 - 2)
+    P = 1000003 * 1000033
+    roots = real_roots_in(Polynomial.of(-1, P) * Polynomial.of(-2, 0, 1))
+    assert roots == [NEG_SQRT2, F(1, P), SQRT2]
+    assert isinstance(roots[1], F)
+    assert hash(roots[1]) == hash(F(1, P))
+    assert roots[0].poly == roots[2].poly == Polynomial.of(-2, 0, 1)
+
+
 def test_sturm_count_matches_dense_sign_scan():
     p = Polynomial.of(1, -5, 0, 1)  # x^3 - 5x + 1: three real roots
     chain = sturm_chain(p)

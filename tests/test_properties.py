@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import property_suites
@@ -108,30 +108,52 @@ def test_refine_enclosures_are_nested(scalar, k):
     assert hi2 - lo2 <= eps / 2
 
 
+ROOTLESS = Polynomial.of(1, 0, 1)
+X2_MINUS_3 = Polynomial.of(-3, 0, 1)
+SQRT3 = -NEG_SQRT3
+
+# rationals of numerator and denominator up to 10^12: past any trial division
+tall_fractions = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+
+
 @relaxed
 @given(
-    st.lists(
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-        min_size=0,
-        max_size=3,
-        unique=True,
+    st.one_of(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            min_size=0,
+            max_size=3,
+            unique=True,
+        ),
+        st.lists(tall_fractions, min_size=1, max_size=4, unique=True),
     ),
     st.booleans(),
+    st.sampled_from([ROOTLESS, X2_MINUS_3, Polynomial.of(1)]),
     st.fractions(min_value=-5, max_value=0, max_denominator=3),
     st.fractions(min_value=0, max_value=5, max_denominator=3),
 )
-def test_root_isolation_finds_constructed_roots(roots, square_first, lo, hi):
+# sqrt(3) snaps to 2, the neighbouring rational root, unless the snap must
+# land inside sqrt(3)'s own isolating interval
+@example([F(2)], False, X2_MINUS_3, F(0), F(2))
+def test_root_isolation_finds_constructed_roots(roots, square_first, other, lo, hi):
     assume(lo < hi)
-    p = Polynomial.of(1, 0, 1)  # no real roots
+    p = other
     for i, root in enumerate(roots):
         factor = Polynomial.of(-root, 1)
         p = p * factor
         if square_first and i == 0:
             p = p * factor
-    assume(p.degree <= 5)
-    expected = sorted(r for r in roots if lo < r < hi)
-    got = real_roots_in(p, lo, hi)
-    assert [F(r) for r in got] == expected
+    assume(1 <= p.degree <= 6)
+    irrational = [NEG_SQRT3, SQRT3] if other == X2_MINUS_3 else []
+    expected = sort_scalars(
+        [r for r in [*roots, *irrational] if compare(lo, r) < 0 < compare(hi, r)]
+    )
+    assert real_roots_in(p, lo, hi) == expected
+    every = real_roots_in(p)
+    assert [r for r in every if isinstance(r, F)] == sorted(roots)
+    algebraic = [r for r in every if not isinstance(r, F)]
+    assert algebraic == irrational
+    assert all(a.poly == X2_MINUS_3 for a in algebraic)
 
 
 # ---------------------------------------------------------------------------
