@@ -102,10 +102,15 @@ def _clamp_nonneg(v: Fraction) -> Fraction:
 # pointwise functionals
 
 
+def _proximity_of(at_r: Fraction, at_minus_r: Fraction) -> Fraction:
+    """(v+(r) + v+(-r)) / 2 from a function's values v(r) and v(-r)."""
+    return (_clamp_nonneg(at_r) + _clamp_nonneg(at_minus_r)) / 2
+
+
 def proximity(f: PiecewiseFunction, r):
     """(f+(r) + f+(-r)) / 2 where f+ = max(f, 0)."""
     r = _positive_radius(r)
-    return (_clamp_nonneg(evaluate(f, r)) + _clamp_nonneg(evaluate(f, -r))) / 2
+    return _proximity_of(evaluate(f, r), evaluate(f, -r))
 
 
 def _disk_term(z: Scalar, weight, j: int, r: Fraction):
@@ -223,13 +228,10 @@ def jensen_balance(f: PiecewiseFunction, r):
     """
     r = _positive_radius(r)
     n = max(1, f.degree_bound)
-    proximity_neg = (
-        _clamp_nonneg(-evaluate(f, r)) + _clamp_nonneg(-evaluate(f, -r))
-    ) / 2
     return exact_sum(
         [
             characteristic(f, r),
-            -proximity_neg,
+            -_proximity_of(-evaluate(f, r), -evaluate(f, -r)),
             *(-counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
             -evaluate(f, 0),
         ]
@@ -571,9 +573,6 @@ def _omega_factor_B(region: str, j: int) -> int:
     return 1 if region in ("F1", "F2", "F3", "F6", "F8") else (-1) ** (j + 1)
 
 
-_LEFT_JET_REGIONS = ("F3", "F6", "F7", "F8", "F9")
-
-
 def _left_factor_B(region: str, j: int) -> int:
     if region in ("F6",):
         return (-1) ** (j + 1) - 1
@@ -714,25 +713,27 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
     for profile in _profiles_in(f, -r, r):
         y = profile.location
         region = _region_of(y, x)
-        # The left factors vanish off y = 0 and y = x (regions F3, F6-F9).
-        jets_minus = (
-            evaluate_jet(f, y, MINUS, n) if region in _LEFT_JET_REGIONS else None
-        )
+        jets_minus = None  # the left jet, evaluated where a left factor needs it
         for j in range(1, n + 1):
             w = profile.omega_of(j)
             if value_sign(w) == 0:
                 continue
-            left_jet = jets_minus[j] if jets_minus else Fraction(0)
+            left_b, left_d = _left_factor_B(region, j), _left_factor_D(region, j)
+            left_jet = Fraction(0)
+            if left_b or left_d:
+                if jets_minus is None:
+                    jets_minus = evaluate_jet(f, y, MINUS, n)
+                left_jet = jets_minus[j]
             omega_weight = exact_sum(
                 [
                     _scale_value(w, Fraction(_omega_factor_B(region, j))),
-                    _scale_value(left_jet, Fraction(_left_factor_B(region, j))),
+                    _scale_value(left_jet, Fraction(left_b)),
                 ]
             )
             gamma_weight = exact_sum(
                 [
                     _scale_value(w, Fraction(_omega_factor_D(region, j))),
-                    _scale_value(left_jet, Fraction(_left_factor_D(region, j))),
+                    _scale_value(left_jet, Fraction(left_d)),
                 ]
             )
             energy = _energy_power(r, x, y, j)

@@ -155,8 +155,11 @@ def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     (the rational-root theorem), and two such rationals lie at least 1/L^2
     apart.  So an isolating interval of width below 1/(2 L^2) holds at most
     one candidate, the rational of denominator <= L nearest its midpoint; it
-    is the interval's root if it lies inside and w vanishes there.  Degrees
-    1 and 2 are solved directly.
+    is the interval's root if it lies inside and w vanishes there.
+
+    Degrees 1 and 2 are solved in closed form instead: they are most of the
+    polynomials stripped (crossings of linear and quadratic pieces), and the
+    bisection would cost tens of exact evaluations per root.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")

@@ -1,6 +1,6 @@
 """The names the benchmark traces must exist in the library.
 
-benchmark/run.py reports per-layer call counts by dotted name
+benchmark/run.py reports self time per layer and call counts by dotted name
 (``numeric.AlgebraicNumber._halve``).  A name that no longer resolves would
 read as 0 calls there, so a deletion or rename has to fail here instead.
 The benchmark's source is parsed, not run.
@@ -26,13 +26,9 @@ def _module_constant(name: str):
     raise AssertionError(f"{name} not found in {RUN_PY}")
 
 
-def test_traced_layers_are_library_modules():
-    for layer in _module_constant("TRACED_SELF_TIMES"):
-        module = importlib.import_module(f"tropicalc.{layer}")
-        assert Path(module.__file__).resolve().parent == PACKAGE_DIR, layer
-
-
 def test_traced_counts_name_library_functions():
+    for layer in _module_constant("TRACED_SELF_TIMES"):
+        importlib.import_module(f"tropicalc.{layer}")
     names = _module_constant("TRACED_COUNTS").values()
     assert names
     for dotted in names:

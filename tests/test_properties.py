@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import property_suites
-from tropicalc.polyseg import MINUS, PLUS
+from tropicalc.polyseg import MINUS, PLUS, scale
 from tropicalc import (
+    POLES_OF_NEG_F,
     Polynomial,
     TropicalPolynomialMap,
     algebraic_root,
@@ -214,6 +215,17 @@ def test_jensen_balance_vanishes(seed):
     f = randgen.random_function(rnd)
     r = randgen.random_radius(rnd)
     assert jensen_balance(f, r) == 0
+    # jensen_balance reads T(r, -f) off f's table; analysing -f must agree
+    neg = scale(f, -1)
+    n = max(1, f.degree_bound)
+    assert characteristic(neg, r) == exact_sum(
+        [
+            proximity(neg, r),
+            *(counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
+        ]
+    )
+    reference = [characteristic(f, r), -characteristic(neg, r), -evaluate(f, 0)]
+    assert exact_sum(reference) == 0
 
 
 @settings(max_examples=30, deadline=None)
