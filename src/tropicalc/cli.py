@@ -36,7 +36,7 @@ from .numeric import decimal_string
 from .poly import frac
 from .polyseg import PiecewiseFunction
 from .randgen import random_function, random_radius, rng
-from .singular import classify, omega_at, scan
+from .singular import _format_value, classify, omega_at, scan
 
 _JENSEN_DEFAULT_RADII = (Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))
 
@@ -48,7 +48,7 @@ _JENSEN_DEFAULT_RADII = (Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))
 def _fraction_arg(text: str) -> Fraction:
     try:
         return frac(text)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError) as e:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {e}")
 
 
@@ -154,7 +154,7 @@ def _cmd_characteristic(args, manifest: Manifest):
     radii = _grid_radii(args.grid, bundle["T"])
     keys = list(bundle)
     rows = [
-        [str(r)] + [nev._value_json(bundle[k](r)) for k in keys] for r in radii
+        [str(r)] + [_format_value(bundle[k](r)) for k in keys] for r in radii
     ]
     payload = {
         "function": args.fn,
@@ -173,10 +173,10 @@ def _cmd_jensen(args, manifest: Manifest):
     header = ["r", "boundary_mean", "root_sum", "pole_sum", "residual", "passed"]
     row = [
         str(report.r),
-        nev._value_json(report.boundary_mean),
-        nev._value_json(report.root_sum),
-        nev._value_json(report.pole_sum),
-        nev._value_json(report.residual),
+        _format_value(report.boundary_mean),
+        _format_value(report.root_sum),
+        _format_value(report.pole_sum),
+        _format_value(report.residual),
         str(report.passed()),
     ]
     return payload, (header, [row]), report.passed()
@@ -196,7 +196,7 @@ def _cmd_hyperexp(args, manifest):
     for m in range(args.window[0] + 1, args.window[1]):
         prof = omega_at(fn, m)
         for order, w in prof.entries():
-            omega_rows.append([m, order, nev._value_json(w)])
+            omega_rows.append([m, order, _format_value(w)])
     payload = {
         "n": result.n,
         "alpha": str(result.alpha),
@@ -219,7 +219,7 @@ def _cmd_curve_cartan(args, manifest: Manifest):
         warnings.simplefilter("ignore")
         profile = curves_mod.cartan_profile(cur, args.r_max)
     radii = _grid_radii(args.grid, profile)
-    rows = [[str(r), nev._value_json(profile(r))] for r in radii]
+    rows = [[str(r), _format_value(profile(r))] for r in radii]
     payload = {
         "curve": args.curve,
         "reduced": reduced,
@@ -332,6 +332,8 @@ def _cmd_verify_casoratian(args, manifest: Manifest):
 
 
 def _cmd_verify_jensen_sweep(args, manifest):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     base_rows = []
     passed = True
     if args.fn is not None:
@@ -348,7 +350,7 @@ def _cmd_verify_jensen_sweep(args, manifest):
             r = random_radius(rnd)
             balance = nev.jensen_balance(f, r)
             if not (isinstance(balance, Fraction) and balance == 0):
-                failures.append({"index": index, "r": str(r), "balance": nev._value_json(balance)})
+                failures.append({"index": index, "r": str(r), "balance": _format_value(balance)})
     passed = passed and not failures
     payload = {
         "function": args.fn,

@@ -32,12 +32,11 @@ from .errors import (
     TooManyComponents,
 )
 from .nevanlinna import (
-    POLES_OF_F,
     POLES_OF_NEG_F,
     RadiusProfile,
+    _disk_sums,
     _positive_radius,
     _tail_from_zero,
-    _value_json,
     counting,
 )
 from .numeric import (
@@ -52,21 +51,14 @@ from .polyseg import (
     PiecewiseFunction,
     constant,
     evaluate,
+    _fold_max,
     linear_combine,
     power,
     reflect,
     scale,
     shift,
-    tropical_plus,
 )
-from .singular import POLE, ROOT, scan
-
-
-def _fold_max(fns) -> PiecewiseFunction:
-    acc = fns[0]
-    for fn in fns[1:]:
-        acc = tropical_plus(acc, fn)
-    return acc
+from .singular import POLE, ROOT, _format_value, scan
 
 
 def _abs_value(v):
@@ -284,11 +276,6 @@ def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
 # second-main-theorem bookkeeping
 
 
-def _counting_sum(fn: PiecewiseFunction, r, sign: str):
-    n = max(1, fn.degree_bound)
-    return exact_sum([counting(fn, j, r, sign=sign) for j in range(1, n + 1)])
-
-
 @dataclass(frozen=True)
 class SmtRow:
     r: Fraction
@@ -318,12 +305,12 @@ class SmtReport:
             "rows": [
                 {
                     "r": str(row.r),
-                    "cartan": _value_json(row.cartan_value),
-                    "roots_sum": _value_json(row.roots_sum),
-                    "poles_sum": _value_json(row.poles_sum),
-                    "residual": _value_json(row.residual),
+                    "cartan": _format_value(row.cartan_value),
+                    "roots_sum": _format_value(row.roots_sum),
+                    "poles_sum": _format_value(row.poles_sum),
+                    "residual": _format_value(row.residual),
                     "in_band": row.in_band,
-                    "identity_gap": _value_json(row.identity_gap),
+                    "identity_gap": _format_value(row.identity_gap),
                 }
                 for row in self.rows
             ],
@@ -355,8 +342,7 @@ def smt_homogeneous_check(
     for r in r_grid:
         r = _positive_radius(r)
         t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
-        roots_sum = _counting_sum(g, r, POLES_OF_NEG_F)
-        poles_sum = _counting_sum(g, r, POLES_OF_F)
+        roots_sum, poles_sum = _disk_sums(g, r)
         diff = exact_sum([roots_sum, -poles_sum])
         boundary = (evaluate(g, r) + evaluate(g, -r)) / 2 - g0
         identity_gap = exact_sum([diff, -boundary])
@@ -407,9 +393,9 @@ class FermatReport:
             "rows": [
                 {
                     "r": str(row.r),
-                    "cartan": _value_json(row.cartan_value),
-                    "pole_sum": _value_json(row.pole_sum),
-                    "ratio": None if row.ratio is None else _value_json(row.ratio),
+                    "cartan": _format_value(row.cartan_value),
+                    "pole_sum": _format_value(row.pole_sum),
+                    "ratio": None if row.ratio is None else _format_value(row.ratio),
                     "growth_diagnostic": None
                     if row.growth_diagnostic is None
                     else str(row.growth_diagnostic),
@@ -442,7 +428,7 @@ def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
     for r in r_grid:
         r = _positive_radius(r)
         t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
-        pole_sum = _counting_sum(g, r, POLES_OF_NEG_F)
+        pole_sum = _disk_sums(g, r)[0]
         slack = Fraction(10) / r
         if t == 0:
             rows.append(FermatRow(r, t, pole_sum, None, None, None))
@@ -515,10 +501,10 @@ class CasoratianBalanceReport:
             "rows": [
                 {
                     "r": str(row.r),
-                    "lhs": _value_json(row.lhs),
-                    "shift_pole_block": _value_json(row.shift_pole_block),
-                    "window_block": _value_json(row.window_block),
-                    "excess": _value_json(row.excess),
+                    "lhs": _format_value(row.lhs),
+                    "shift_pole_block": _format_value(row.shift_pole_block),
+                    "window_block": _format_value(row.window_block),
+                    "excess": _format_value(row.excess),
                 }
                 for row in self.rows
             ],
@@ -560,16 +546,8 @@ def casoratian_balance(
     rows = []
     for r in r_grid:
         r = _positive_radius(r)
-        comp_roots = exact_sum(
-            [
-                counting(comp, j, r, sign=POLES_OF_NEG_F)
-                for comp in c.components
-                for j in range(1, n + 1)
-            ]
-        )
-        c0_roots = exact_sum(
-            [counting(c0, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)]
-        )
+        comp_roots = exact_sum([_disk_sums(comp, r)[0] for comp in c.components])
+        c0_roots = _disk_sums(c0, r)[0]
         lhs = _abs_value(exact_sum([comp_roots, -c0_roots]))
         block1_terms = []
         for j in range(1, n + 1):

@@ -62,7 +62,7 @@ def _parse_scalar(node, where: str) -> Scalar:
     if isinstance(node, str):
         try:
             return frac(node)
-        except (ValueError, ZeroDivisionError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise ManifestSyntaxError(f"{where}: bad scalar {node!r} ({e})")
     if isinstance(node, dict) and set(node) == {"poly", "interval"}:
         coeffs = node["poly"]

@@ -66,10 +66,12 @@ from .polyseg import (
     reflect,
 )
 from .singular import (  # noqa: F401  (omega_at is re-exported)
+    _format_scalar,
+    _format_value,
+    _profiles,
     _profiles_in,
     classify,
     omega_at,
-    scan,
 )
 
 POLES_OF_F = "poles_of_f"
@@ -136,12 +138,28 @@ def counting(
     """
     r = _positive_radius(r)
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
-    terms = [_disk_term(s.location, s.multiplicity, j, r) for s in rows]
-    return _half(exact_sum(terms))
+    return _half(exact_sum([_disk_term(z, w, j, r) for z, w in rows]))
+
+
+def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
+    """(sum_j N_j(r, -f), sum_j N_j(r, f)) in one walk of f's table.
+
+    Every nonzero omega_j inside the open disk adds |omega_j| (r - |z|)^j to
+    the root sum (omega_j > 0) or to the pole sum (omega_j < 0).
+    """
+    roots: list = []
+    poles: list = []
+    for profile in _profiles_in(f, -r, r):
+        for j, w in enumerate(profile.omega, start=1):
+            sign = value_sign(w)
+            if sign:
+                term = _disk_term(profile.location, abs(w), j, r)
+                (roots if sign > 0 else poles).append(term)
+    return _half(exact_sum(roots)), _half(exact_sum(poles))
 
 
 def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
-    """The scan window and its (closed_left, closed_right) flags read from `sub`."""
+    """The counting window and its (closed_left, closed_right) flags read from `sub`."""
     if sub is None:
         return (-r, r), (False, False)
     lo, hi = sub[0], sub[1]
@@ -155,13 +173,19 @@ def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
 def _counted_rows(
     f: PiecewiseFunction, j, sign: str, window=None, closed=(False, False)
 ) -> list:
-    """The order-j poles of f (sign POLES_OF_F) or of -f in the window."""
+    """(location, |omega_j|) at the order-j poles of f (sign POLES_OF_F) or of -f."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"order j must be an integer >= 1, got {j!r}")
     if sign not in (POLES_OF_F, POLES_OF_NEG_F):
         raise ValueError(f"unknown sign selector {sign!r}")
-    table = scan(f, window, closed_left=closed[0], closed_right=closed[1])
-    return table.poles(j) if sign == POLES_OF_F else table.roots(j)
+    wanted = -1 if sign == POLES_OF_F else 1
+    profiles = _profiles(f) if window is None else _profiles_in(f, *window, *closed)
+    rows = []
+    for p in profiles:
+        w = p.omega_of(j)
+        if value_sign(w) == wanted:
+            rows.append((p.location, abs(w)))
+    return rows
 
 
 def counting_oracle(
@@ -185,8 +209,7 @@ def counting_oracle(
         raise ValueError(f"mesh must be > 0, got {mesh}")
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
     thresholds: list[tuple[Fraction, Fraction]] = []
-    for s in rows:
-        z, w = s.location, s.multiplicity
+    for z, w in rows:
         if isinstance(z, Fraction):
             magnitude = abs(z)
         else:
@@ -214,10 +237,7 @@ def counting_oracle(
 def characteristic(f: PiecewiseFunction, r):
     """T(r, f) = m(r, f) + sum over orders of N_j(r, f)."""
     r = _positive_radius(r)
-    n = max(1, f.degree_bound)
-    return exact_sum(
-        [proximity(f, r), *(counting(f, j, r) for j in range(1, n + 1))]
-    )
+    return exact_sum([proximity(f, r), _disk_sums(f, r)[1]])
 
 
 def jensen_balance(f: PiecewiseFunction, r):
@@ -227,12 +247,14 @@ def jensen_balance(f: PiecewiseFunction, r):
     m(r, -f) takes the positive part of -f(r) and -f(-r).
     """
     r = _positive_radius(r)
-    n = max(1, f.degree_bound)
+    f_r, f_mr = evaluate(f, r), evaluate(f, -r)
+    roots, poles = _disk_sums(f, r)
     return exact_sum(
         [
-            characteristic(f, r),
-            -_proximity_of(-evaluate(f, r), -evaluate(f, -r)),
-            *(-counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
+            _proximity_of(f_r, f_mr),
+            poles,
+            -_proximity_of(-f_r, -f_mr),
+            -roots,
             -evaluate(f, 0),
         ]
     )
@@ -245,13 +267,8 @@ def counting_difference(h: PiecewiseFunction, r) -> tuple:
     residual bookkeeping behind the homogeneous band check.
     """
     r = _positive_radius(r)
-    n = max(1, h.degree_bound)
-    lhs = exact_sum(
-        [
-            *(counting(h, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)),
-            *(-counting(h, j, r) for j in range(1, n + 1)),
-        ]
-    )
+    roots, poles = _disk_sums(h, r)
+    lhs = exact_sum([roots, -poles])
     rhs = exact_sum(
         [_half(exact_sum([evaluate(h, r), evaluate(h, -r)])), -evaluate(h, 0)]
     )
@@ -273,42 +290,34 @@ class JensenReport:
     residual: object
 
     def passed(self) -> bool:
-        if isinstance(self.residual, Fraction):
-            return self.residual == 0
-        lo, hi = value_enclosure(self.residual, Fraction(1, 10**12))
-        return lo <= 0 <= hi
+        return _residual_vanishes(self.residual)
 
     def to_json(self) -> dict:
         return {
             "r": str(self.r),
-            "boundary_mean": _value_json(self.boundary_mean),
-            "root_sum": _value_json(self.root_sum),
-            "pole_sum": _value_json(self.pole_sum),
-            "reconstructed": _value_json(self.reconstructed),
-            "reference": _value_json(self.reference),
-            "residual": _value_json(self.residual),
+            "boundary_mean": _format_value(self.boundary_mean),
+            "root_sum": _format_value(self.root_sum),
+            "pole_sum": _format_value(self.pole_sum),
+            "reconstructed": _format_value(self.reconstructed),
+            "reference": _format_value(self.reference),
+            "residual": _format_value(self.residual),
             "passed": self.passed(),
         }
 
 
-def _value_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    lo, hi = value_enclosure(v, Fraction(1, 10**15))
-    from .numeric import decimal_string
-
-    return "~" + decimal_string((lo + hi) / 2, 12)
+def _residual_vanishes(residual) -> bool:
+    """A literal zero, or an exact residual whose 1e-12 enclosure holds 0."""
+    if isinstance(residual, Fraction):
+        return residual == 0
+    lo, hi = value_enclosure(residual, Fraction(1, 10**12))
+    return lo <= 0 <= hi
 
 
 def jensen_report(f: PiecewiseFunction, r) -> JensenReport:
     """Reconstruct f(0) = boundary mean - root sum + pole sum, itemized."""
     r = _positive_radius(r)
-    n = max(1, f.degree_bound)
     boundary = _half(exact_sum([evaluate(f, r), evaluate(f, -r)]))
-    roots = exact_sum(
-        [counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)]
-    )
-    poles = exact_sum([counting(f, j, r) for j in range(1, n + 1)])
+    roots, poles = _disk_sums(f, r)
     reconstructed = exact_sum([boundary, -roots, poles])
     reference = evaluate(f, 0)
     residual = exact_sum([reconstructed, -reference])
@@ -362,17 +371,14 @@ def counting_profile(
     r_max = _positive_radius(r_max)
     rows = _counted_rows(f, j, sign)
     entries: list[tuple[Fraction, Fraction]] = []
-    for s in rows:
-        if not isinstance(s.location, Fraction) or not isinstance(
-            s.multiplicity, Fraction
-        ):
+    for z, w in rows:
+        if not isinstance(z, Fraction) or not isinstance(w, Fraction):
             raise ValueError(
                 "counting profiles need rational singularity data; "
-                f"got an algebraic entry at {s.location!r}"
+                f"got an algebraic entry at {z!r}"
             )
-        m = abs(s.location)
-        if m < r_max:
-            entries.append((m, s.multiplicity))
+        if abs(z) < r_max:
+            entries.append((abs(z), w))
     entries.sort(key=lambda t: t[0])
     magnitudes: list[Fraction] = []
     for m, _ in entries:
@@ -468,8 +474,6 @@ def profile_flags(rp: RadiusProfile) -> ProfileFlags:
 
 
 def profile_json(rp: RadiusProfile) -> dict:
-    from .singular import _format_scalar
-
     # display only the segments the (0, r_max]-gated profile can ever use
     cut = len(rp.profile.breakpoints)
     for k, bp in enumerate(rp.profile.breakpoints):
@@ -631,41 +635,36 @@ class PoissonJensenReport:
     residual: object
 
     def passed(self) -> bool:
-        if isinstance(self.residual, Fraction):
-            return self.residual == 0
-        lo, hi = value_enclosure(self.residual, Fraction(1, 10**12))
-        return lo <= 0 <= hi
+        return _residual_vanishes(self.residual)
 
     def to_json(self) -> dict:
-        from .singular import _format_scalar
-
         return {
             "x": str(self.x),
             "r": str(self.r),
             "order_bound": self.n,
-            "boundary_mean": _value_json(self.boundary_mean),
-            "slope_term": _value_json(self.slope_term),
-            "singular_B_sum": _value_json(self.b_sum),
-            "singular_D_sum": _value_json(self.d_sum),
-            "correction_x": _value_json(self.correction_x),
-            "correction_zero": _value_json(self.correction_zero),
+            "boundary_mean": _format_value(self.boundary_mean),
+            "slope_term": _format_value(self.slope_term),
+            "singular_B_sum": _format_value(self.b_sum),
+            "singular_D_sum": _format_value(self.d_sum),
+            "correction_x": _format_value(self.correction_x),
+            "correction_zero": _format_value(self.correction_zero),
             "contributions": [
                 {
                     "location": _format_scalar(c.location),
                     "order": c.order,
                     "region": c.region,
-                    "omega": _value_json(c.omega),
-                    "energy_power": _value_json(c.energy),
-                    "b_term": _value_json(c.b_term),
-                    "d_term": _value_json(c.d_term),
-                    "omega_weight": _value_json(c.omega_weight),
-                    "gamma_weight": _value_json(c.gamma_weight),
+                    "omega": _format_value(c.omega),
+                    "energy_power": _format_value(c.energy),
+                    "b_term": _format_value(c.b_term),
+                    "d_term": _format_value(c.d_term),
+                    "omega_weight": _format_value(c.omega_weight),
+                    "gamma_weight": _format_value(c.gamma_weight),
                 }
                 for c in self.contributions
             ],
-            "reconstructed": _value_json(self.reconstructed),
-            "reference": _value_json(self.reference),
-            "residual": _value_json(self.residual),
+            "reconstructed": _format_value(self.reconstructed),
+            "reference": _format_value(self.reference),
+            "residual": _format_value(self.residual),
             "passed": self.passed(),
         }
 

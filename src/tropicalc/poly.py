@@ -25,7 +25,10 @@ def frac(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass an int, Fraction, or 'p/q' string"

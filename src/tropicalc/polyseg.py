@@ -353,6 +353,14 @@ def tropical_plus(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFuncti
     return _fuse(out_bps, out_segs)
 
 
+def _fold_max(fns: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
+    """max of the functions as a left fold of tropical_plus, in the given order."""
+    acc = fns[0]
+    for fn in fns[1:]:
+        acc = tropical_plus(acc, fn)
+    return acc
+
+
 def plus_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """max(f, 0)."""
     return tropical_plus(f, ZERO)
@@ -390,10 +398,7 @@ def _envelope(coeffs: Sequence[Fraction | None]) -> PiecewiseFunction:
     ]
     if not lines:
         raise AllNegInfinity("every coefficient of a tropical polynomial is -infinity")
-    acc = lines[0]
-    for line in lines[1:]:
-        acc = tropical_plus(acc, line)
-    return acc
+    return _fold_max(lines)
 
 
 def from_tropical_product(spec: TropicalProductSpec) -> PiecewiseFunction:

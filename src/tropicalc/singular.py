@@ -14,9 +14,10 @@ global parabola -x^2 hides an order-2 pole of multiplicity 2 at 0).
 
 A function's singularity table -- its jump profiles at every breakpoint and
 at the origin -- is computed once, on first use, and kept on the (immutable)
-function.  `scan` reads its rows off the profiles inside a window, and
-`classify`, the counting functionals and their profiles, the Jensen and
-Poisson-Jensen reports and the curve checks all read the same table.
+function.  `scan` builds display rows from the profiles inside a window
+(for `classify`, the CLI and the curve checks); the counting functionals and
+their profiles and the Jensen and Poisson-Jensen reports read the profiles
+directly, through `_profiles_in` and its one window rule.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .numeric import (
     RootValue,
     Scalar,
     compare,
+    decimal_string,
     scalar_eq,
     scalar_sign,
     sort_scalars,
+    value_enclosure,
     value_sign,
 )
 from .poly import Polynomial, frac
@@ -42,6 +45,7 @@ from .polyseg import (
     MINUS,
     PLUS,
     PiecewiseFunction,
+    _as_scalar,
     evaluate_jet,
     linear_combine,
     piecewise,
@@ -84,8 +88,6 @@ def omega_at(
     f: PiecewiseFunction, x, max_order: int | None = None
 ) -> JumpProfile:
     """Jump profile of f at x for orders 1..max_order (default: degree bound)."""
-    from .polyseg import _as_scalar
-
     x = _as_scalar(x)
     n = max_order if max_order is not None else max(1, f.degree_bound)
     jet_plus = evaluate_jet(f, x, PLUS, n)
@@ -135,16 +137,11 @@ def _format_scalar(s) -> str:
 
 
 def _format_value(v) -> str:
+    """A Fraction as p/q; any other exact value as ~ and 12 decimals."""
     if isinstance(v, Fraction):
         return str(v)
-    return "~" + _decimal_of_value(v)
-
-
-def _decimal_of_value(v) -> str:
-    from .numeric import decimal_string, value_enclosure
-
     lo, hi = value_enclosure(v, Fraction(1, 10**15))
-    return decimal_string((lo + hi) / 2, 12)
+    return "~" + decimal_string((lo + hi) / 2, 12)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,15 @@ def _profiles(f: PiecewiseFunction) -> tuple[JumpProfile, ...]:
 def _profiles_in(
     f: PiecewiseFunction, lo, hi, closed_left: bool = False, closed_right: bool = False
 ) -> list[JumpProfile]:
-    """f's jump profiles inside the window (lo, hi), open unless a side is closed."""
+    """f's jump profiles inside the window (lo, hi), open unless a side is closed.
+
+    A window [a, a] closed on both sides holds the single point a; a window
+    that holds no point raises EmptyWindow.
+    """
+    lo, hi = _as_scalar(lo), _as_scalar(hi)
+    c = compare(lo, hi)
+    if c > 0 or (c == 0 and not (closed_left and closed_right)):
+        raise EmptyWindow(f"window ({lo}, {hi}) is empty")
     kept = []
     for p in _profiles(f):
         cl = compare(lo, p.location)
@@ -238,19 +243,13 @@ def scan(
     closed_left: bool = False,
     closed_right: bool = False,
 ) -> SingularityTable:
-    """All singularities of f (inside the window, open by default).
+    """All singularities of f as display rows (inside the window, open by default).
 
     A window [a, a] closed on both sides selects the single point a.
     """
     profiles = _profiles(f)
     if window is not None:
-        from .polyseg import _as_scalar
-
-        lo, hi = _as_scalar(window[0]), _as_scalar(window[1])
-        c = compare(lo, hi)
-        if c > 0 or (c == 0 and not (closed_left and closed_right)):
-            raise EmptyWindow(f"scan window ({lo}, {hi}) is empty")
-        profiles = _profiles_in(f, lo, hi, closed_left, closed_right)
+        profiles = _profiles_in(f, window[0], window[1], closed_left, closed_right)
     rows: list[Singularity] = []
     for profile in profiles:
         for order, w in enumerate(profile.omega, start=1):

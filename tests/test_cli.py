@@ -168,12 +168,24 @@ def test_characteristic_numeric_grid(capsys):
     assert len(lines) == 5
 
 
-def test_bad_grid_spec(capsys):
-    rc, _, err = invoke(
-        capsys,
-        "--manifest", "showcase",
-        "characteristic", "--fn", "f", "--r-max", "4", "--grid", "nonsense",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--manifest", "showcase", "characteristic", "--fn", "f", "--r-max", "4",
+         "--grid", "nonsense"],
+        ["--manifest", "showcase", "characteristic", "--fn", "f", "--r-max", "4",
+         "--grid", "1:2:1/0"],
+        ["--manifest", "showcase", "characteristic", "--fn", "f", "--r-max", "4",
+         "--grid", "1:4:0/0"],
+        ["verify", "lemma44", "--hyperexp", "2:1/0:-4:4:8", "--c", "1",
+         "--alpha", "2", "--grid", "5:6:1"],
+        ["verify", "jensen-sweep", "--count", "-3"],
+    ],
+    ids=["nonsense", "zero-step-denominator", "zero-over-zero-step",
+         "hyperexp-zero-denominator", "negative-count"],
+)
+def test_bad_grid_spec(capsys, argv):
+    rc, _, err = invoke(capsys, *argv)
     assert rc == 2
     assert "error:" in err
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropicalc.errors import (
+    EmptyWindow,
     NonPositiveRadius,
     NonPositiveValues,
     NotWellDefined,
@@ -97,6 +98,14 @@ def test_counting_window_must_fit_disk(showcase):
 def test_counting_rejects_bad_order(showcase):
     with pytest.raises(ValueError):
         counting(showcase, 0, R)
+
+
+@pytest.mark.parametrize("sub", [(1, 0), (1, 1)], ids=["reversed", "open-point"])
+def test_empty_counting_window_raises(showcase, sub):
+    with pytest.raises(EmptyWindow):
+        counting(showcase, 1, R, sub=sub)
+    with pytest.raises(EmptyWindow):
+        counting_oracle(showcase, 1, R, F(1, 10), sub=sub)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +323,24 @@ def test_each_function_is_analysed_once(showcase, monkeypatch):
     counting_profile(f, 1, R)
     classify(f)
     assert len(calls) == len(f.breakpoints) + 1
+
+
+def test_order_sums_read_the_table_without_scan(showcase, monkeypatch):
+    import tropicalc.nevanlinna as nevanlinna
+    import tropicalc.singular as singular
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan builds display rows; order sums must not need it")
+
+    monkeypatch.setattr(singular, "scan", refuse)
+    monkeypatch.setattr(nevanlinna, "scan", refuse, raising=False)
+    f = piecewise(showcase.breakpoints, showcase.segments)  # fresh, unanalysed
+    assert characteristic(f, R) == proximity(f, R) + F(13, 2) + F(2)
+    assert jensen_report(f, R).passed()
+    assert jensen_balance(f, R) == 0
+    lhs, rhs = counting_difference(f, R)
+    assert lhs == rhs
+    assert counting(f, 1, R, sub=(-1, 1, True, True)) == F(1, 2) * (2 + 5) * (R - 1)
 
 
 def test_poisson_jensen_itemizes_contributions(showcase):

@@ -12,6 +12,12 @@ def test_frac_accepts_int_str_fraction():
     assert frac(F(7, 2)) == F(7, 2)
 
 
+def test_frac_rejects_zero_denominator():
+    for text in ("1/0", "0/0", " -3/0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            frac(text)
+
+
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         frac(0.5)

@@ -24,6 +24,7 @@ from tropicalc import (
     classify,
     compare,
     compose_tropical,
+    constant,
     counting,
     counting_difference,
     counting_oracle,
@@ -35,6 +36,7 @@ from tropicalc import (
     jensen_balance,
     jensen_report,
     linear_combine,
+    piecewise,
     normalize,
     poisson_jensen,
     power,
@@ -226,6 +228,29 @@ def test_jensen_balance_vanishes(seed):
     )
     reference = [characteristic(f, r), -characteristic(neg, r), -evaluate(f, 0)]
     assert exact_sum(reference) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_order_sums_match_per_order_counting(seed):
+    rnd = randgen.rng(seed)
+    f = randgen.random_function(rnd)
+    if seed % 2:  # crossings at +-sqrt(2): each N_j is an ExactValue
+        crossing = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))
+        if seed % 4 == 3:  # order 1 a pole, order 2 a root: the sums too
+            quartic = tropical_plus(piecewise([], [[0, 0, 0, 0, 1]]), constant(4))
+            crossing = linear_combine(quartic, crossing, 1, -5)
+        f = linear_combine(f, crossing)
+    r = randgen.random_radius(rnd)
+    n = max(1, f.degree_bound)
+    roots = [-counting(f, j, r, sign=POLES_OF_NEG_F) for j in range(1, n + 1)]
+    poles = [-counting(f, j, r) for j in range(1, n + 1)]
+    report = jensen_report(f, r)
+    assert exact_sum([report.root_sum, *roots]) == 0
+    assert exact_sum([report.pole_sum, *poles]) == 0
+    assert exact_sum([characteristic(f, r), -proximity(f, r), *poles]) == 0
+    lhs, _ = counting_difference(f, r)
+    assert exact_sum([lhs, *roots, *(-v for v in poles)]) == 0
 
 
 @settings(max_examples=30, deadline=None)
