@@ -195,7 +195,7 @@ def _cmd_hyperexp(args, manifest):
     omega_rows = []
     for m in range(args.window[0] + 1, args.window[1]):
         prof = omega_at(fn, m)
-        for order, w in prof.entries():
+        for order, _, w in prof.entries:
             omega_rows.append([m, order, _format_value(w)])
     payload = {
         "n": result.n,

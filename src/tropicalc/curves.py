@@ -44,6 +44,7 @@ from .numeric import (
     Scalar,
     exact_sum,
     scalar_eq,
+    scale_value,
     value_sign,
 )
 from .poly import frac
@@ -58,7 +59,14 @@ from .polyseg import (
     scale,
     shift,
 )
-from .singular import POLE, ROOT, _format_value, scan
+from .singular import _format_value, _profiles
+
+
+def _between(v, lo: Fraction, hi: Fraction) -> bool:
+    """lo <= v <= hi, exactly, for a Fraction or exact symbolic value v."""
+    return (
+        value_sign(exact_sum([v, -lo])) >= 0 and value_sign(exact_sum([v, -hi])) <= 0
+    )
 
 
 def _abs_value(v):
@@ -76,10 +84,9 @@ class TropicalCurve:
             raise ValueError("a curve needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
         for i, comp in enumerate(self.components):
-            table = scan(comp)
-            for row in table.rows:
-                if row.kind == POLE:
-                    raise NotEntireComponent(i, row.location)
+            for p in _profiles(comp):
+                if any(sign < 0 for _, sign, _ in p.entries):
+                    raise NotEntireComponent(i, p.location)
 
     @property
     def arity(self) -> int:
@@ -98,7 +105,12 @@ def curve(components) -> TropicalCurve:
 
 
 def _root_entries(fn: PiecewiseFunction) -> list[tuple[Scalar, int]]:
-    return [(row.location, row.order) for row in scan(fn).rows if row.kind == ROOT]
+    return [
+        (p.location, order)
+        for p in _profiles(fn)
+        for order, sign, _ in p.entries
+        if sign > 0
+    ]
 
 
 def check_reduced(c: TropicalCurve) -> tuple[bool, tuple[Scalar, int] | None]:
@@ -347,16 +359,8 @@ def smt_homogeneous_check(
         boundary = (evaluate(g, r) + evaluate(g, -r)) / 2 - g0
         identity_gap = exact_sum([diff, -boundary])
         combined = exact_sum([diff, -(d * t)])
-        residual = (
-            combined / d if isinstance(combined, Fraction) else combined.scale(1 / d)
-        )
-        if isinstance(residual, Fraction):
-            in_band = band[0] <= residual <= band[1]
-        else:
-            in_band = (
-                value_sign(exact_sum([residual, -band[0]])) >= 0
-                and value_sign(exact_sum([residual, -band[1]])) <= 0
-            )
+        residual = scale_value(combined, 1 / d)
+        in_band = _between(residual, *band)
         rows.append(
             SmtRow(r, t, roots_sum, poles_sum, residual, in_band, identity_gap)
         )
@@ -434,18 +438,8 @@ def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
             rows.append(FermatRow(r, t, pole_sum, None, None, None))
             continue
         denom = t**q.power
-        ratio = (
-            pole_sum / denom
-            if isinstance(pole_sum, Fraction)
-            else pole_sum.scale(1 / denom)
-        )
-        if isinstance(ratio, Fraction):
-            in_window = q.theta - slack <= ratio <= q.big_theta + slack
-        else:
-            in_window = (
-                value_sign(exact_sum([ratio, -(q.theta - slack)])) >= 0
-                and value_sign(exact_sum([ratio, -(q.big_theta + slack)])) <= 0
-            )
+        ratio = scale_value(pole_sum, 1 / denom)
+        in_window = _between(ratio, q.theta - slack, q.big_theta + slack)
         rows.append(FermatRow(r, t, pole_sum, ratio, r / t, in_window))
     return FermatReport(q.theta, q.big_theta, q.power, tuple(rows))
 

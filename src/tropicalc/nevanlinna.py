@@ -36,17 +36,14 @@ from .errors import (
     ZeroShift,
 )
 from .numeric import (
-    ExactValue,
     Scalar,
     compare,
     exact_sum,
     poly_sign_at,
-    real_roots_in,
     root_value,
     scalar_abs,
     scalar_sign,
-    separators,
-    sign_of,
+    scale_value,
     value_enclosure,
     value_float,
     value_sign,
@@ -64,6 +61,7 @@ from .polyseg import (
     piecewise,
     plus_part,
     reflect,
+    sign_runs,
 )
 from .singular import (  # noqa: F401  (omega_at is re-exported)
     _format_scalar,
@@ -80,20 +78,14 @@ POLES_OF_NEG_F = "poles_of_neg_f"
 RIGHT_TO_R = "right"
 LEFT_TO_MINUS_R = "left"
 
+_HALF = Fraction(1, 2)
+
 
 def _positive_radius(r) -> Fraction:
     r = frac(r)
     if r <= 0:
         raise NonPositiveRadius(f"radius must be > 0, got {r}")
     return r
-
-
-def _half(v):
-    if isinstance(v, Fraction):
-        return v / 2
-    if isinstance(v, ExactValue):
-        return v.scale(Fraction(1, 2))
-    raise TypeError(f"cannot halve {v!r}")
 
 
 def _clamp_nonneg(v: Fraction) -> Fraction:
@@ -138,7 +130,7 @@ def counting(
     """
     r = _positive_radius(r)
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
-    return _half(exact_sum([_disk_term(z, w, j, r) for z, w in rows]))
+    return scale_value(exact_sum([_disk_term(z, w, j, r) for z, w in rows]), _HALF)
 
 
 def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
@@ -150,12 +142,12 @@ def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
     roots: list = []
     poles: list = []
     for profile in _profiles_in(f, -r, r):
-        for j, w in enumerate(profile.omega, start=1):
-            sign = value_sign(w)
-            if sign:
-                term = _disk_term(profile.location, abs(w), j, r)
-                (roots if sign > 0 else poles).append(term)
-    return _half(exact_sum(roots)), _half(exact_sum(poles))
+        for j, sign, w in profile.entries:
+            if sign > 0:
+                roots.append(_disk_term(profile.location, w, j, r))
+            else:
+                poles.append(_disk_term(profile.location, -w, j, r))
+    return scale_value(exact_sum(roots), _HALF), scale_value(exact_sum(poles), _HALF)
 
 
 def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
@@ -180,12 +172,12 @@ def _counted_rows(
         raise ValueError(f"unknown sign selector {sign!r}")
     wanted = -1 if sign == POLES_OF_F else 1
     profiles = _profiles(f) if window is None else _profiles_in(f, *window, *closed)
-    rows = []
-    for p in profiles:
-        w = p.omega_of(j)
-        if value_sign(w) == wanted:
-            rows.append((p.location, abs(w)))
-    return rows
+    return [
+        (p.location, w if s > 0 else -w)
+        for p in profiles
+        for order, s, w in p.entries
+        if order == j and s == wanted
+    ]
 
 
 def counting_oracle(
@@ -270,7 +262,10 @@ def counting_difference(h: PiecewiseFunction, r) -> tuple:
     roots, poles = _disk_sums(h, r)
     lhs = exact_sum([roots, -poles])
     rhs = exact_sum(
-        [_half(exact_sum([evaluate(h, r), evaluate(h, -r)])), -evaluate(h, 0)]
+        [
+            scale_value(exact_sum([evaluate(h, r), evaluate(h, -r)]), _HALF),
+            -evaluate(h, 0),
+        ]
     )
     return lhs, rhs
 
@@ -316,7 +311,7 @@ def _residual_vanishes(residual) -> bool:
 def jensen_report(f: PiecewiseFunction, r) -> JensenReport:
     """Reconstruct f(0) = boundary mean - root sum + pole sum, itemized."""
     r = _positive_radius(r)
-    boundary = _half(exact_sum([evaluate(f, r), evaluate(f, -r)]))
+    boundary = scale_value(exact_sum([evaluate(f, r), evaluate(f, -r)]), _HALF)
     roots, poles = _disk_sums(f, r)
     reconstructed = exact_sum([boundary, -roots, poles])
     reference = evaluate(f, 0)
@@ -419,37 +414,16 @@ def profile_bundle(f: PiecewiseFunction, r_max) -> dict[str, RadiusProfile]:
     return out
 
 
-def _nonneg_on_scalars(p: Polynomial, lo: Scalar | None, hi: Scalar | None) -> bool:
-    """Exact p >= 0 on [lo, hi] with possibly-algebraic (or open-ended) bounds."""
-    if p.is_zero:
-        return True
-    if lo is not None and poly_sign_at(p, lo) < 0:
-        return False
-    if hi is not None and poly_sign_at(p, hi) < 0:
-        return False
-    from .numeric import refine
-
-    wlo = None if lo is None else refine(lo, Fraction(1))[0] - 1
-    whi = None if hi is None else refine(hi, Fraction(1))[1] + 1
-    interior = [
-        z
-        for z in real_roots_in(p, wlo, whi)
-        if (lo is None or compare(lo, z) < 0) and (hi is None or compare(z, hi) < 0)
-    ]
-    markers: list[Scalar] = []
-    if lo is not None:
-        markers.append(lo)
-    markers.extend(interior)
-    if hi is not None:
-        markers.append(hi)
-    if len(markers) < 2:
-        return poly_sign_at(p, markers[0] if markers else Fraction(0)) >= 0
-    samples = separators(markers)
-    return all(sign_of(p(u)) >= 0 for u in samples)
-
-
 def profile_flags(rp: RadiusProfile) -> ProfileFlags:
-    """Exact shape flags of the profile on (0, r_max]."""
+    """Exact shape flags of the profile on (0, r_max].
+
+    A polynomial is >= 0 on a closed piece [lo, hi] (lo < hi) when it is zero
+    or positive on every run between its roots inside (lo, hi); continuity
+    settles the roots and both ends.
+    """
+    def nonneg_on(p: Polynomial, lo, hi) -> bool:
+        return p.is_zero or all(s > 0 for _, s in sign_runs(p, lo, hi))
+
     prof = rp.profile
     bounds: list[Scalar | None] = [Fraction(0), *prof.breakpoints, None]
     nonneg = nondecr = convex = True
@@ -458,13 +432,13 @@ def profile_flags(rp: RadiusProfile) -> ProfileFlags:
         hi = bounds[k + 1]
         if hi is not None and compare(hi, Fraction(0)) <= 0:
             continue  # segment entirely left of the domain
-        if lo is not None and compare(lo, rp.r_max) >= 0:
+        if compare(lo, rp.r_max) >= 0:
             continue  # segment entirely beyond r_max
-        clip_lo = lo if (lo is not None and compare(lo, Fraction(0)) > 0) else Fraction(0)
+        clip_lo = lo if compare(lo, Fraction(0)) > 0 else Fraction(0)
         clip_hi = hi if (hi is not None and compare(hi, rp.r_max) < 0) else rp.r_max
-        nonneg = nonneg and _nonneg_on_scalars(seg, clip_lo, clip_hi)
-        nondecr = nondecr and _nonneg_on_scalars(seg.derivative(), clip_lo, clip_hi)
-        convex = convex and _nonneg_on_scalars(seg.derivative(2), clip_lo, clip_hi)
+        nonneg = nonneg and nonneg_on(seg, clip_lo, clip_hi)
+        nondecr = nondecr and nonneg_on(seg.derivative(), clip_lo, clip_hi)
+        convex = convex and nonneg_on(seg.derivative(2), clip_lo, clip_hi)
     for k, bp in enumerate(prof.breakpoints):
         if compare(bp, Fraction(0)) <= 0 or compare(bp, rp.r_max) >= 0:
             continue
@@ -528,7 +502,7 @@ def lemma31_sum(f: PiecewiseFunction, x, r, side: str):
                 terms.append(_mul_power(tau, y, r, j, minus=True))
             else:
                 terms.append(
-                    _scale_value(_mul_power(tau, y, r, j, minus=False), Fraction(-1) ** j)
+                    scale_value(_mul_power(tau, y, r, j, minus=False), Fraction(-1) ** j)
                 )
     return exact_sum(terms)
 
@@ -540,12 +514,6 @@ def _mul_power(weight, y: Scalar, r: Fraction, j: int, minus: bool):
         return weight * base
     arm = Polynomial.from_coeffs((r, -1) if minus else (r, 1)) ** j
     return weight * root_value(arm, y)
-
-
-def _scale_value(v, c: Fraction):
-    if isinstance(v, ExactValue):
-        return v.scale(c)
-    return v * c
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +681,7 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
         y = profile.location
         region = _region_of(y, x)
         jets_minus = None  # the left jet, evaluated where a left factor needs it
-        for j in range(1, n + 1):
-            w = profile.omega_of(j)
-            if value_sign(w) == 0:
-                continue
+        for j, _, w in profile.entries:
             left_b, left_d = _left_factor_B(region, j), _left_factor_D(region, j)
             left_jet = Fraction(0)
             if left_b or left_d:
@@ -725,21 +690,21 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
                 left_jet = jets_minus[j]
             omega_weight = exact_sum(
                 [
-                    _scale_value(w, Fraction(_omega_factor_B(region, j))),
-                    _scale_value(left_jet, Fraction(left_b)),
+                    scale_value(w, Fraction(_omega_factor_B(region, j))),
+                    scale_value(left_jet, Fraction(left_b)),
                 ]
             )
             gamma_weight = exact_sum(
                 [
-                    _scale_value(w, Fraction(_omega_factor_D(region, j))),
-                    _scale_value(left_jet, Fraction(left_d)),
+                    scale_value(w, Fraction(_omega_factor_D(region, j))),
+                    scale_value(left_jet, Fraction(left_d)),
                 ]
             )
             energy = _energy_power(r, x, y, j)
             sb = Fraction(_omega_factor_B(region, j)) * _b_aux(r, x, n - j) / (2 * b_n)
             sd = Fraction(_omega_factor_D(region, j)) * _d_aux(r, x, n - j) / (2 * b_n)
-            b_term = _scale_value(w * energy, sb)
-            d_term = _scale_value(w * energy, sd)
+            b_term = scale_value(w * energy, sb)
+            d_term = scale_value(w * energy, sd)
             b_terms.append(b_term)
             d_terms.append(d_term)
             contributions.append(

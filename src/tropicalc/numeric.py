@@ -326,7 +326,9 @@ class AlgebraicNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("algebraic", self.poly.coeffs))
+        # Equal numbers may have different defining polynomials (x^2 - 2 and
+        # x^4 - 4 both define sqrt(2)), so only the type tag is hashed.
+        return hash("algebraic")
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.poly}, ~{self.decimal(6)})"
@@ -381,14 +383,10 @@ def compare(a: Scalar, b: Scalar) -> int:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return sign_of(a - b)
     if isinstance(a, Fraction):
-        return -_compare_alg_rational(b, a)
+        return -b._compare_rational(a)
     if isinstance(b, Fraction):
-        return _compare_alg_rational(a, b)
+        return a._compare_rational(b)
     return _compare_alg_alg(a, b)
-
-
-def _compare_alg_rational(a: AlgebraicNumber, q: Fraction) -> int:
-    return a._compare_rational(q)
 
 
 def _compare_alg_alg(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
@@ -698,6 +696,13 @@ def exact_sum(terms: Iterable) -> Value:
     if not parts:
         return rational
     return ExactValue(rational, tuple(parts))
+
+
+def scale_value(v, c) -> Value:
+    """c * v for a rational c and a Fraction, RootValue or ExactValue v."""
+    if isinstance(v, ExactValue):
+        return v.scale(c)
+    return v * c
 
 
 def value_enclosure(v, eps) -> tuple[Fraction, Fraction]:

@@ -313,6 +313,25 @@ def _sample_in(lo, hi) -> Fraction:
     return seps[0]
 
 
+def sign_runs(p: Polynomial, left, right) -> list[tuple]:
+    """[(left end, sign of p)] on the runs p's real roots cut (left, right) into.
+
+    p must be nonzero; a None end means -infinity (left) or +infinity (right).
+    """
+    roots = [
+        r
+        for r in real_roots_in(
+            p,
+            _rational_below(left) - 1 if left is not None else None,
+            _rational_above(right) + 1 if right is not None else None,
+        )
+        if (left is None or compare(left, r) == -1)
+        and (right is None or compare(r, right) == -1)
+    ]
+    ends = [left, *roots, right]
+    return [(lo, sign_of(p(_sample_in(lo, hi)))) for lo, hi in zip(ends, ends[1:])]
+
+
 def tropical_plus(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     """max(f, g) pointwise, with exact (possibly algebraic) switch points."""
     out_bps: list[Scalar] = []
@@ -330,24 +349,10 @@ def tropical_plus(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFuncti
         if d.is_zero:
             push(left, pf)
             continue
-        crossings = [
-            r
-            for r in real_roots_in(
-                d,
-                _rational_below(left) - 1 if left is not None else None,
-                _rational_above(right) + 1 if right is not None else None,
-            )
-            if (left is None or compare(left, r) == -1)
-            and (right is None or compare(r, right) == -1)
-        ]
-        bounds = [left, *crossings, right]
-        previous_winner: Polynomial | None = None
-        for lo, hi in zip(bounds, bounds[1:]):
-            s = sign_of(d(_sample_in(lo, hi)))
+        previous_winner = None
+        for lo, s in sign_runs(d, left, right):
             winner = pf if s > 0 else pg
-            if previous_winner is None:
-                push(left, winner)
-            elif winner != previous_winner:
+            if winner is not previous_winner:
                 push(lo, winner)
             previous_winner = winner
     return _fuse(out_bps, out_segs)

@@ -14,10 +14,12 @@ global parabola -x^2 hides an order-2 pole of multiplicity 2 at 0).
 
 A function's singularity table -- its jump profiles at every breakpoint and
 at the origin -- is computed once, on first use, and kept on the (immutable)
-function.  `scan` builds display rows from the profiles inside a window
-(for `classify`, the CLI and the curve checks); the counting functionals and
-their profiles and the Jensen and Poisson-Jensen reports read the profiles
-directly, through `_profiles_in` and its one window rule.
+function.  Each profile keeps its nonzero jump weights as signed entries
+(order, sign, omega_j), the sign decided once when the profile is built.
+`classify`, the counting functionals and their profiles, the Jensen and
+Poisson-Jensen reports and the curve checks read these entries directly
+(windowed reads through `_profiles_in` and its one window rule); `scan` only
+turns them into display rows, for the CLI and for tests.
 """
 
 from __future__ import annotations
@@ -57,31 +59,22 @@ POLE = "pole"
 
 @dataclass(frozen=True, slots=True)
 class JumpProfile:
-    """Order-indexed jump data at one point; entry k is order j = k+1."""
+    """Order-indexed jump data at one point; entry k is order j = k+1.
+
+    `entries` holds (order, sign, omega) for every nonzero omega_j, ascending
+    in order: sign +1 marks an order-j root and -1 an order-j pole.
+    """
 
     location: Scalar
     omega: tuple
     tau: tuple
-
-    @property
-    def max_order(self) -> int:
-        return len(self.omega)
+    entries: tuple
 
     def omega_of(self, j: int):
         return self.omega[j - 1] if j <= len(self.omega) else Fraction(0)
 
     def tau_of(self, j: int):
         return self.tau[j - 1] if j <= len(self.tau) else Fraction(0)
-
-    def entries(self) -> list[tuple[int, object]]:
-        """(order, omega) for every nonzero omega, ascending order."""
-        return [
-            (j, w) for j, w in enumerate(self.omega, start=1) if value_sign(w) != 0
-        ]
-
-    @property
-    def is_singular(self) -> bool:
-        return bool(self.entries())
 
 
 def omega_at(
@@ -100,14 +93,19 @@ def omega_at(
 
     omega = []
     tau = []
+    entries = []
     for j in range(1, n + 1):
         t = collapse(jet_plus[j] - jet_minus[j])
         tau.append(t)
         if s == 0:  # sgn(0+)^(j+1) = 1, sgn(0-)^(j+1) = (-1)^(j+1)
-            omega.append(collapse(jet_plus[j] + (-1) ** j * jet_minus[j]))
+            w = collapse(jet_plus[j] + (-1) ** j * jet_minus[j])
         else:  # omega_j = sgn(x)^(j+1) tau_j, sharing tau's value where equal
-            omega.append(t if s ** (j + 1) > 0 else -t)
-    return JumpProfile(x, tuple(omega), tuple(tau))
+            w = t if s ** (j + 1) > 0 else -t
+        omega.append(w)
+        sign = value_sign(w)
+        if sign:
+            entries.append((j, sign, w))
+    return JumpProfile(x, tuple(omega), tuple(tau), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +248,11 @@ def scan(
     profiles = _profiles(f)
     if window is not None:
         profiles = _profiles_in(f, window[0], window[1], closed_left, closed_right)
-    rows: list[Singularity] = []
-    for profile in profiles:
-        for order, w in enumerate(profile.omega, start=1):
-            sign = value_sign(w)
-            if sign:
-                kind = ROOT if sign > 0 else POLE
-                rows.append(Singularity(profile.location, order, kind, abs(w)))
+    rows = []
+    for p in profiles:
+        for order, sign, w in p.entries:
+            kind, multiplicity = (ROOT, w) if sign > 0 else (POLE, -w)
+            rows.append(Singularity(p.location, order, kind, multiplicity))
     return SingularityTable(tuple(rows))
 
 
@@ -281,9 +277,9 @@ def _segment_well_defined(p: Polynomial) -> bool:
 
 
 def classify(f: PiecewiseFunction) -> Classification:
-    table = scan(f)
-    entire = not table.poles()
-    nowhere = entire and not table.roots()
+    signs = {sign for p in _profiles(f) for _, sign, _ in p.entries}
+    entire = -1 not in signs
+    nowhere = not signs
     well = all(_segment_well_defined(p) for p in f.segments)
     return Classification(entire, nowhere, well)
 

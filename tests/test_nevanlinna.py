@@ -7,6 +7,7 @@ from tropicalc.errors import (
     EmptyWindow,
     NonPositiveRadius,
     NonPositiveValues,
+    NotEntireComponent,
     NotWellDefined,
     PointOutsideDisk,
     RadiusBelowThreshold,
@@ -326,14 +327,15 @@ def test_each_function_is_analysed_once(showcase, monkeypatch):
 
 
 def test_order_sums_read_the_table_without_scan(showcase, monkeypatch):
+    import tropicalc.curves as curves
     import tropicalc.nevanlinna as nevanlinna
     import tropicalc.singular as singular
 
     def refuse(*args, **kwargs):
         raise AssertionError("scan builds display rows; order sums must not need it")
 
-    monkeypatch.setattr(singular, "scan", refuse)
-    monkeypatch.setattr(nevanlinna, "scan", refuse, raising=False)
+    for module in (singular, nevanlinna, curves):
+        monkeypatch.setattr(module, "scan", refuse, raising=module is singular)
     f = piecewise(showcase.breakpoints, showcase.segments)  # fresh, unanalysed
     assert characteristic(f, R) == proximity(f, R) + F(13, 2) + F(2)
     assert jensen_report(f, R).passed()
@@ -341,6 +343,16 @@ def test_order_sums_read_the_table_without_scan(showcase, monkeypatch):
     lhs, rhs = counting_difference(f, R)
     assert lhs == rhs
     assert counting(f, 1, R, sub=(-1, 1, True, True)) == F(1, 2) * (2 + 5) * (R - 1)
+    # classification and the curve checks read the same signed entries
+    assert not classify(f).entire
+    absx = piecewise([0], [[0, -1], [0, 1]])
+    flags = classify(absx)
+    assert flags.entire and not flags.nowhere_vanishing_entire
+    assert lemma44_check(absx, F(1, 2), 2, 10).passed
+    with pytest.raises(NotEntireComponent):
+        curves.TropicalCurve((piecewise([], [[0, 0, -1]]),))
+    assert curves.check_reduced(curves.curve([absx, absx])) == (False, (F(0), 1))
+    assert curves.check_reduced(curves.curve([absx, constant(1)])) == (True, None)
 
 
 def test_poisson_jensen_itemizes_contributions(showcase):
@@ -368,6 +380,36 @@ def test_profile_flags_on_arches(parabola_train):
     assert flags.non_negative
     assert not flags.non_decreasing
     assert not flags.convex
+
+
+def _hand_profile(breakpoints, segments, r_max):
+    from tropicalc.nevanlinna import RadiusProfile
+
+    return RadiusProfile("T", None, F(r_max), piecewise(breakpoints, segments))
+
+
+def test_profile_flags_see_an_interior_dip():
+    # r^2 - 2r + 1/2 dips below 0 between 1 -+ 1/sqrt(2), inside its piece
+    dip = _hand_profile([3], [[F(1, 2), -2, 1], [F(-17, 2), 4]], 4)
+    flags = profile_flags(dip)
+    assert not flags.non_negative and not flags.non_decreasing and flags.convex
+    assert profile_flags(_hand_profile([], [[F(1, 2), -2, 1]], F(1, 4))).non_negative
+
+
+def test_profile_flags_see_negative_values_near_zero():
+    # r - 1/10 is negative only on (0, 1/10); r^2 then takes over at r = 1
+    early = _hand_profile([1], [[F(-1, 10), 1], [F(-1, 10), 0, 1]], 2)
+    flags = profile_flags(early)
+    assert not flags.non_negative and flags.non_decreasing and flags.convex
+
+
+def test_profile_flags_allow_a_double_root():
+    # (r - 1)^2 touches 0 at r = 1 and stays >= 0; its slope is negative on (0, 1)
+    touch = profile_flags(_hand_profile([], [[1, -2, 1]], 3))
+    assert touch.non_negative and not touch.non_decreasing and touch.convex
+    # the same double root on a piece boundary, and at the right end of the domain
+    assert profile_flags(_hand_profile([1], [[1, -2, 1], [0]], 3)).non_negative
+    assert profile_flags(_hand_profile([], [[1, -2, 1]], 1)).non_negative
 
 
 def test_profile_bundle_matches_pointwise(showcase):

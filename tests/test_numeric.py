@@ -75,6 +75,18 @@ def test_algebraic_number_is_value_semantic():
     assert F(7, 5) < SQRT2
 
 
+def test_equal_algebraic_numbers_hash_alike():
+    from tropicalc.polyseg import constant, piecewise, tropical_plus
+
+    # sqrt(2) as a breakpoint of max(x^2, 2) and of max(x^4, 4)
+    square = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))
+    quartic = tropical_plus(piecewise([], [[0, 0, 0, 0, 1]]), constant(4))
+    a, b = square.breakpoints[1], quartic.breakpoints[1]
+    assert a.poly != b.poly and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, SQRT2}) == 1
+
+
 def test_algebraic_root_strips_rational_factors():
     # isolating sqrt(2) inside (x - 2)(x^2 - 2) drops the rational factor
     p = Polynomial.of(-2, 1) * Polynomial.of(-2, 0, 1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import property_suites
 from tropicalc.polyseg import MINUS, PLUS, scale
 from tropicalc import (
+    NotEntireComponent,
     POLES_OF_NEG_F,
     Polynomial,
     TropicalPolynomialMap,
@@ -251,6 +252,55 @@ def test_order_sums_match_per_order_counting(seed):
     assert exact_sum([characteristic(f, r), -proximity(f, r), *poles]) == 0
     lhs, _ = counting_difference(f, r)
     assert exact_sum([lhs, *roots, *(-v for v in poles)]) == 0
+
+
+def _reference_reduced(components):
+    """check_reduced rebuilt from scan rows: a (location, order) root in all."""
+    roots = [
+        [(s.location, s.order) for s in scan(comp).rows if s.kind == "root"]
+        for comp in components
+    ]
+    for loc, order in roots[0]:
+        if all(
+            any(o == order and compare(l, loc) == 0 for l, o in other)
+            for other in roots[1:]
+        ):
+            return False, (loc, order)
+    return True, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_signed_entries_match_scan_rows(seed):
+    rnd = randgen.rng(seed)
+    f = randgen.random_function(rnd, degree=3, max_breaks=4)
+    a = randgen.random_entire(rnd, max_breaks=3)
+    b = a if seed % 3 == 0 else randgen.random_entire(rnd, max_breaks=3)
+    if seed % 2:  # roots of orders 1 and 2 at +-sqrt(2)
+        crossing = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))
+        f = linear_combine(f, crossing)
+        a = linear_combine(a, crossing)
+        if seed % 4 == 3:
+            b = linear_combine(b, crossing)
+    for fn in (f, a, b):
+        table = scan(fn)
+        got = classify(fn)
+        assert got.entire == (not table.poles())
+        assert got.nowhere_vanishing_entire == (got.entire and not table.roots())
+    poles = scan(f).poles()
+    if poles:
+        with pytest.raises(NotEntireComponent) as caught:
+            curve([a, f])
+        assert (caught.value.index, caught.value.location) == (1, poles[0].location)
+    else:
+        curve([a, f])
+    components = [a, b, randgen.random_gauge(rnd)] if seed % 5 == 0 else [a, b]
+    ok, witness = check_reduced(curve(components))
+    expected_ok, expected_witness = _reference_reduced(components)
+    assert ok == expected_ok
+    if not ok:
+        assert witness[1] == expected_witness[1]
+        assert compare(witness[0], expected_witness[0]) == 0
 
 
 @settings(max_examples=30, deadline=None)

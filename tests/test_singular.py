@@ -130,7 +130,7 @@ def _direct_scan(f, lo, hi, closed_left, closed_right):
         if (cl < 0 or (cl == 0 and closed_left)) and (
             ch < 0 or (ch == 0 and closed_right)
         ):
-            for order, w in omega_at(f, x).entries():
+            for order, _, w in omega_at(f, x).entries:
                 kind = ROOT if value_sign(w) > 0 else POLE
                 rows.append((x, order, kind, abs(w)))
     return rows
