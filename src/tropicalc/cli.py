@@ -36,7 +36,7 @@ from .numeric import decimal_string
 from .poly import frac
 from .polyseg import PiecewiseFunction
 from .randgen import random_function, random_radius, rng
-from .singular import _format_value, classify, omega_at, scan
+from .singular import _format_value, _profiles, classify, scan
 
 _JENSEN_DEFAULT_RADII = (Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))
 
@@ -124,6 +124,11 @@ def _decimalize(obj, precision: int):
     return obj
 
 
+def _table(header: list[str], rows: list[dict]) -> tuple[list[str], list[list]]:
+    """CSV data: the header's keys read off each row dict, in header order."""
+    return header, [[row[k] for k in header] for row in rows]
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(str(cell) for cell in row) for row in rows)
@@ -171,15 +176,7 @@ def _cmd_jensen(args, manifest: Manifest):
     report = nev.jensen_report(fn, args.r)
     payload = {"function": args.fn, **report.to_json()}
     header = ["r", "boundary_mean", "root_sum", "pole_sum", "residual", "passed"]
-    row = [
-        str(report.r),
-        _format_value(report.boundary_mean),
-        _format_value(report.root_sum),
-        _format_value(report.pole_sum),
-        _format_value(report.residual),
-        str(report.passed()),
-    ]
-    return payload, (header, [row]), report.passed()
+    return payload, _table(header, [payload]), report.passed()
 
 
 def _cmd_pj(args, manifest: Manifest):
@@ -192,11 +189,11 @@ def _cmd_pj(args, manifest: Manifest):
 def _cmd_hyperexp(args, manifest):
     result = nev.hyperexp(args.n, args.alpha, tuple(args.window), args.tail)
     fn = result.function
-    omega_rows = []
-    for m in range(args.window[0] + 1, args.window[1]):
-        prof = omega_at(fn, m)
-        for order, _, w in prof.entries:
-            omega_rows.append([m, order, _format_value(w)])
+    omega_rows = [
+        [int(p.location), order, _format_value(w)]
+        for p in _profiles(fn)
+        for order, _, w in p.entries
+    ]
     payload = {
         "n": result.n,
         "alpha": str(result.alpha),
@@ -275,18 +272,7 @@ def _cmd_verify_smt(args, manifest: Manifest):
         report = curves_mod.smt_homogeneous_check(poly, cur, radii)
     payload = {"curve": args.curve, "polynomial": args.poly, **report.to_json()}
     header = ["r", "cartan", "roots_sum", "poles_sum", "residual", "in_band"]
-    rows = [
-        [
-            row["r"],
-            row["cartan"],
-            row["roots_sum"],
-            row["poles_sum"],
-            row["residual"],
-            str(row["in_band"]),
-        ]
-        for row in payload["rows"]
-    ]
-    return payload, (header, rows), report.passed
+    return payload, _table(header, payload["rows"]), report.passed
 
 
 def _cmd_verify_fermat(args, manifest: Manifest):
@@ -300,18 +286,7 @@ def _cmd_verify_fermat(args, manifest: Manifest):
         report = curves_mod.fermat_bounds(poly, cur, radii)
     payload = {"curve": args.curve, "polynomial": args.poly, **report.to_json()}
     header = ["r", "cartan", "pole_sum", "ratio", "growth_diagnostic", "in_window"]
-    rows = [
-        [
-            row["r"],
-            row["cartan"],
-            row["pole_sum"],
-            str(row["ratio"]),
-            str(row["growth_diagnostic"]),
-            str(row["in_window"]),
-        ]
-        for row in payload["rows"]
-    ]
-    return payload, (header, rows), report.passed
+    return payload, _table(header, payload["rows"]), report.passed
 
 
 def _cmd_verify_casoratian(args, manifest: Manifest):
@@ -320,15 +295,11 @@ def _cmd_verify_casoratian(args, manifest: Manifest):
     report = curves_mod.casoratian_balance(cur, radii, args.step)
     payload = {"curve": args.curve, **report.to_json()}
     header = ["r", "lhs", "shift_pole_block", "window_block", "excess"]
-    rows = [
-        [row["r"], row["lhs"], row["shift_pole_block"], row["window_block"], row["excess"]]
-        for row in payload["rows"]
-    ]
     # the crisp criterion is the tail-slope equality (piecewise-linear curves);
     # for higher degree the rows are informational and nothing can fail
     passed = report.tail_slopes_equal is not False
     payload["checked"] = report.tail_slopes_equal is not None
-    return payload, (header, rows), passed
+    return payload, _table(header, payload["rows"]), passed
 
 
 def _cmd_verify_jensen_sweep(args, manifest):
@@ -394,12 +365,7 @@ def _cmd_verify_lemma44(args, manifest):
     payload = {**source, "c": str(frac(args.c)), "alpha": str(frac(args.alpha)),
                "rows": rows, "passed": passed}
     header = ["r", "threshold", "lhs_plus", "lhs_minus", "rhs", "passed"]
-    csv_rows = [
-        [row["r"], row["threshold"], row["lhs_plus"], row["lhs_minus"],
-         row["rhs"], str(row["passed"])]
-        for row in rows
-    ]
-    return payload, (header, csv_rows), passed
+    return payload, _table(header, rows), passed
 
 
 # ---------------------------------------------------------------------------

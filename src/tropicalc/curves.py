@@ -18,10 +18,10 @@ values when singularity locations are algebraic).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     AllNegInfinity,
@@ -52,12 +52,12 @@ from .polyseg import (
     PiecewiseFunction,
     constant,
     evaluate,
-    _fold_max,
     linear_combine,
     power,
     reflect,
     scale,
     shift,
+    tropical_plus,
 )
 from .singular import _format_value, _profiles
 
@@ -97,7 +97,7 @@ class TropicalCurve:
         return max(1, max(c.degree_bound for c in self.components))
 
     def envelope(self) -> PiecewiseFunction:
-        return _fold_max(self.components)
+        return reduce(tropical_plus, self.components)
 
 
 def curve(components) -> TropicalCurve:
@@ -218,7 +218,7 @@ def compose_tropical(p: TropicalPolynomialMap, c: TropicalCurve) -> PiecewiseFun
         terms.append(g)
     if not terms:
         raise AllNegInfinity("every monomial coefficient is -infinity")
-    return _fold_max(terms)
+    return reduce(tropical_plus, terms)
 
 
 @dataclass(frozen=True)
@@ -265,23 +265,32 @@ def compose_fermat(q: FermatForm, c: TropicalCurve) -> PiecewiseFunction:
 
 
 def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
-    """max over permutations pi of sum_i f_i(x + pi(i)*step)."""
+    """max over permutations pi of sum_i f_i(x + pi(i)*step).
+
+    The max-plus permanent of the shift matrix, built over subsets: best[S]
+    is the max over injections of components 0..|S|-1 onto the shift set S.
+    """
     step = frac(step)
     if step == 0:
         raise ValueError("step must be nonzero")
     m1 = c.arity
     if m1 > 9:
         raise TooManyComponents(
-            f"{m1} components need {m1}! permutations; the limit is 9"
+            f"{m1} components need 2^{m1} shift subsets; the limit is 9"
         )
-    terms = []
-    for perm in itertools.permutations(range(m1)):
-        acc = None
-        for i, k in enumerate(perm):
-            piece = shift(c.components[i], k * step)
-            acc = piece if acc is None else linear_combine(acc, piece, 1, 1)
-        terms.append(acc)
-    return _fold_max(terms)
+    shifted = [[shift(comp, k * step) for k in range(m1)] for comp in c.components]
+    best = {1 << k: g for k, g in enumerate(shifted[0])}
+    for row in shifted[1:]:
+        grown = {}
+        for used, acc in best.items():
+            for k, g in enumerate(row):
+                if used & (1 << k):
+                    continue
+                total = linear_combine(acc, g, 1, 1)
+                key = used | (1 << k)
+                grown[key] = tropical_plus(grown[key], total) if key in grown else total
+        best = grown
+    return best[(1 << m1) - 1]
 
 
 # ---------------------------------------------------------------------------

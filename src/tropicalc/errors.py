@@ -124,7 +124,7 @@ class ArityMismatch(TropicalcError):
 
 
 class TooManyComponents(TropicalcError):
-    """The determinant expansion is limited to 9 components (9! permutations)."""
+    """The Casoratian is limited to 9 components (2^9 shift subsets)."""
 
 
 class MissingPurePowers(TropicalcError):

@@ -395,12 +395,7 @@ def counting_profile(
 
 
 def characteristic_profile(f: PiecewiseFunction, r_max) -> RadiusProfile:
-    r_max = _positive_radius(r_max)
-    n = max(1, f.degree_bound)
-    total = proximity_profile(f, r_max).profile
-    for j in range(1, n + 1):
-        total = linear_combine(total, counting_profile(f, j, r_max).profile, 1, 1)
-    return RadiusProfile("T", None, r_max, total)
+    return profile_bundle(f, r_max)["T"]
 
 
 def profile_bundle(f: PiecewiseFunction, r_max) -> dict[str, RadiusProfile]:
@@ -408,9 +403,11 @@ def profile_bundle(f: PiecewiseFunction, r_max) -> dict[str, RadiusProfile]:
     r_max = _positive_radius(r_max)
     n = max(1, f.degree_bound)
     out = {"m": proximity_profile(f, r_max)}
+    total = out["m"].profile
     for j in range(1, n + 1):
         out[f"N{j}"] = counting_profile(f, j, r_max)
-    out["T"] = characteristic_profile(f, r_max)
+        total = linear_combine(total, out[f"N{j}"].profile, 1, 1)
+    out["T"] = RadiusProfile("T", None, r_max, total)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence, Union
 
 from .errors import AllNegInfinity, DiscontinuityDetected
@@ -358,14 +359,6 @@ def tropical_plus(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFuncti
     return _fuse(out_bps, out_segs)
 
 
-def _fold_max(fns: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
-    """max of the functions as a left fold of tropical_plus, in the given order."""
-    acc = fns[0]
-    for fn in fns[1:]:
-        acc = tropical_plus(acc, fn)
-    return acc
-
-
 def plus_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """max(f, 0)."""
     return tropical_plus(f, ZERO)
@@ -403,7 +396,7 @@ def _envelope(coeffs: Sequence[Fraction | None]) -> PiecewiseFunction:
     ]
     if not lines:
         raise AllNegInfinity("every coefficient of a tropical polynomial is -infinity")
-    return _fold_max(lines)
+    return reduce(tropical_plus, lines)
 
 
 def from_tropical_product(spec: TropicalProductSpec) -> PiecewiseFunction:

@@ -211,6 +211,32 @@ def test_hyperexp_payload(capsys):
     assert by_key[(3, 2)] == "4"
 
 
+def test_hyperexp_table_reads_the_stored_profiles(capsys, monkeypatch):
+    import tropicalc.cli as cli
+    import tropicalc.singular as singular
+
+    calls = []
+    for module in (singular, cli):
+        original = getattr(module, "omega_at", None)
+        if original is None:
+            continue
+
+        def counted(f, x, *rest, _original=original, **kwargs):
+            calls.append(x)
+            return _original(f, x, *rest, **kwargs)
+
+        monkeypatch.setattr(module, "omega_at", counted)
+    rc, out, _ = invoke(
+        capsys,
+        "special", "hyperexp",
+        "--n", "2", "--alpha", "2", "--window", "-8", "8", "--tail", "64",
+    )
+    assert rc == 0
+    assert sorted(calls) == list(range(-7, 8))  # once at each interior integer
+    ms = [row["m"] for row in json.loads(out)["omega_table"]]
+    assert ms == sorted(ms) and set(ms) == set(range(-7, 8))
+
+
 # ---------------------------------------------------------------------------
 # curve subcommands
 

@@ -1,5 +1,7 @@
 import warnings
 from fractions import Fraction as F
+from functools import reduce
+from itertools import permutations
 
 import pytest
 
@@ -27,7 +29,8 @@ from tropicalc.errors import (
     TooManyComponents,
 )
 from tropicalc.nevanlinna import characteristic
-from tropicalc.numeric import exact_sum, value_sign
+from tropicalc import randgen
+from tropicalc.numeric import exact_sum, scalar_eq, value_sign
 from tropicalc.poly import Polynomial
 from tropicalc.polyseg import (
     constant,
@@ -281,6 +284,53 @@ def test_casoratian_is_permutation_invariant(mirror_curve):
 def test_casoratian_arity_cap():
     with pytest.raises(TooManyComponents):
         casoratian(curve([constant(k) for k in range(10)]))
+
+
+def _casoratian_by_permutations(c, step):
+    """The definition: max over permutations pi of sum_i f_i(x + pi(i)*step)."""
+    terms = []
+    for perm in permutations(range(c.arity)):
+        acc = shift(c.components[0], perm[0] * step)
+        for i, k in enumerate(perm[1:], 1):
+            acc = linear_combine(acc, shift(c.components[i], k * step), 1, 1)
+        terms.append(acc)
+    return reduce(tropical_plus, terms)
+
+
+def _reference_curve(arity, kind):
+    """Linear components; the same plus a quadratic gauge; or quadratics."""
+    rnd = randgen.rng(100 + arity)
+    if kind == "quadratic":
+        return curve(
+            randgen.random_entire(rnd, degree=2, max_breaks=2) for _ in range(arity)
+        )
+    small = arity == 6  # 720 permutations: keep the reference fold cheap
+    cur = randgen.random_linear_curve(rnd, arity=arity, max_roots=1 if small else 3)
+    if kind == "linear":
+        return cur
+    g = randgen.random_entire(rnd, degree=2, max_breaks=1 if small else 2)
+    return curve(linear_combine(comp, g, 1, 1) for comp in cur.components)
+
+
+@pytest.mark.parametrize(
+    "arity, kind, step",
+    [
+        (arity, kind, step)
+        for arity in range(2, 6)
+        for kind in ("linear", "gauged", "quadratic")
+        for step in (F(1), F(1, 2))
+    ]
+    + [(6, "linear", F(1)), (6, "gauged", F(1, 2))],
+)
+def test_casoratian_matches_the_permutation_fold(arity, kind, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cur = _reference_curve(arity, kind)
+    got = casoratian(cur, step)
+    want = _casoratian_by_permutations(cur, step)
+    assert got.segments == want.segments
+    assert len(got.breakpoints) == len(want.breakpoints)
+    assert all(scalar_eq(a, b) for a, b in zip(got.breakpoints, want.breakpoints))
 
 
 def test_casoratian_gauge_identity(mirror_curve):

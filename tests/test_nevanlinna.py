@@ -423,6 +423,32 @@ def test_profile_bundle_matches_pointwise(showcase):
     assert flags.non_negative and flags.non_decreasing and flags.convex
 
 
+def test_profile_bundle_builds_each_profile_once(showcase, monkeypatch):
+    import tropicalc.nevanlinna as nev
+
+    calls = []
+    for name in ("proximity_profile", "counting_profile"):
+        original = getattr(nev, name)
+
+        def counted(f, *rest, _name=name, _original=original):
+            calls.append((_name, *rest[:1]))
+            return _original(f, *rest)
+
+        monkeypatch.setattr(nev, name, counted)
+    bundle = profile_bundle(showcase, 10)
+    assert calls == [
+        ("proximity_profile", F(10)),
+        ("counting_profile", 1),
+        ("counting_profile", 2),
+        ("counting_profile", 3),
+    ]
+    total = linear_combine(bundle["m"].profile, bundle["N1"].profile, 1, 1)
+    total = linear_combine(total, bundle["N2"].profile, 1, 1)
+    total = linear_combine(total, bundle["N3"].profile, 1, 1)
+    assert bundle["T"].profile == total
+    assert characteristic_profile(showcase, 10).profile == total
+
+
 def test_profile_gating(showcase):
     prof = characteristic_profile(showcase, 4)
     with pytest.raises(ValueError):
