@@ -52,6 +52,16 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {e}")
 
 
+def _nonneg_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _grid_radii(spec: str, profile=None) -> list[Fraction]:
     """Parse --grid: 'lo:hi:step' or 'exact' (profile event radii)."""
     if spec == "exact":
@@ -118,9 +128,10 @@ def _decimalize(obj, precision: int):
         return [_decimalize(v, precision) for v in obj]
     if isinstance(obj, str):
         try:
-            return decimal_string(Fraction(obj), precision)
+            value = Fraction(obj)
         except (ValueError, ZeroDivisionError):
             return obj
+        return decimal_string(value, precision)
     return obj
 
 
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--decimal",
-        type=int,
+        type=_nonneg_int_arg,
         metavar="PREC",
         help="render rational scalars as decimals at this precision",
     )

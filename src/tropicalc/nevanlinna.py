@@ -107,15 +107,6 @@ def proximity(f: PiecewiseFunction, r):
     return _proximity_of(evaluate(f, r), evaluate(f, -r))
 
 
-def _disk_term(z: Scalar, weight, j: int, r: Fraction):
-    """weight * (r - |z|)^j, exactly, for a rational or algebraic location."""
-    if isinstance(z, Fraction):
-        return weight * (r - abs(z)) ** j
-    s = scalar_sign(z)
-    arm = Polynomial.from_coeffs((r, -1)) if s > 0 else Polynomial.from_coeffs((r, 1))
-    return weight * root_value(arm**j, z)
-
-
 def counting(
     f: PiecewiseFunction,
     j: int,
@@ -130,7 +121,8 @@ def counting(
     """
     r = _positive_radius(r)
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
-    return scale_value(exact_sum([_disk_term(z, w, j, r) for z, w in rows]), _HALF)
+    terms = [_mul_power(w, z, r, j, minus=scalar_sign(z) > 0) for z, w in rows]
+    return scale_value(exact_sum(terms), _HALF)
 
 
 def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
@@ -142,11 +134,13 @@ def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
     roots: list = []
     poles: list = []
     for profile in _profiles_in(f, -r, r):
+        z = profile.location
+        right = scalar_sign(z) > 0  # r - |z| is r - z right of 0, r + z left of it
         for j, sign, w in profile.entries:
             if sign > 0:
-                roots.append(_disk_term(profile.location, w, j, r))
+                roots.append(_mul_power(w, z, r, j, minus=right))
             else:
-                poles.append(_disk_term(profile.location, -w, j, r))
+                poles.append(_mul_power(-w, z, r, j, minus=right))
     return scale_value(exact_sum(roots), _HALF), scale_value(exact_sum(poles), _HALF)
 
 

@@ -32,7 +32,9 @@ def sign_of(x: Fraction) -> int:
 
 
 def decimal_string(x: Fraction, digits: int = 12) -> str:
-    """Round x to `digits` decimal places, exact half-away-from-zero."""
+    """Round x to `digits` >= 0 decimal places, exact half-away-from-zero."""
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     scaled = x * 10**digits
     n = scaled.numerator
     d = scaled.denominator

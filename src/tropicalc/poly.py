@@ -164,29 +164,26 @@ class Polynomial:
             p = Polynomial(tuple(c * k for k, c in enumerate(p.coeffs) if k))
         return p
 
+    def taylor(self, n: int) -> list["Polynomial"]:
+        """[q_0, ..., q_n] with q_k = p^(k)/k! = sum_i C(i, k) c_i x^(i-k).
+
+        Orders past the degree give the zero polynomial.
+        """
+        cs = self.coeffs
+        return [
+            Polynomial(
+                tuple(math.comb(i, k) * c for i, c in enumerate(cs[k:], start=k))
+            )
+            for k in range(n + 1)
+        ]
+
     def jet(self, x: Fraction, max_order: int) -> list[Fraction]:
         """[p(x), p'(x)/1!, p''(x)/2!, ...] up to max_order inclusive."""
-        out = []
-        p = self
-        fact = 1
-        for j in range(max_order + 1):
-            if j:
-                fact *= j
-                p = p.derivative()
-            out.append(p(x) / fact)
-        return out
+        return [q(x) for q in self.taylor(max_order)]
 
     def taylor_shift(self, c: RationalLike) -> "Polynomial":
         """Return q with q(x) = p(x + c)."""
-        c = frac(c)
-        if c == 0 or self.is_zero:
-            return self
-        # Horner: fold coefficients against (x + c).
-        acc = Polynomial(())
-        linear = Polynomial.from_coeffs((c, 1))
-        for a in reversed(self.coeffs):
-            acc = acc * linear + Polynomial.constant(a)
-        return acc
+        return Polynomial.from_coeffs(self.jet(frac(c), self.degree))
 
     def reflect(self) -> "Polynomial":
         """Return q with q(x) = p(-x)."""

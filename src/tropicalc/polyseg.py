@@ -13,6 +13,7 @@ points, continuity, ordering) is decided exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -147,14 +148,8 @@ ZERO = constant(0)
 
 def _index_left_of(f: PiecewiseFunction, x: Scalar) -> tuple[int, bool]:
     """(number of breakpoints < x, whether x equals the next breakpoint)."""
-    lt = 0
-    for bp in f.breakpoints:
-        c = compare(bp, x)
-        if c == -1:
-            lt += 1
-        else:
-            return lt, c == 0
-    return lt, False
+    lt = bisect_left(f.breakpoints, x)
+    return lt, lt < len(f.breakpoints) and compare(f.breakpoints[lt], x) == 0
 
 
 def governing_segment(f: PiecewiseFunction, x, side: str = PLUS) -> Polynomial:
@@ -185,15 +180,7 @@ def evaluate_jet(
     seg = governing_segment(f, x, side)
     if isinstance(x, Fraction):
         return seg.jet(x, max_order)
-    out = []
-    fact = 1
-    p = seg
-    for j in range(max_order + 1):
-        if j:
-            fact *= j
-            p = p.derivative()
-        out.append(root_value(p.scale(Fraction(1, fact)), x))
-    return out
+    return [root_value(q, x) for q in seg.taylor(max_order)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from typing import Sequence
 from .errors import EmptyWindow
 from .numeric import (
     AlgebraicNumber,
-    RootValue,
     Scalar,
     compare,
     decimal_string,
+    root_value,
     scalar_eq,
     scalar_sign,
     sort_scalars,
@@ -48,7 +48,7 @@ from .polyseg import (
     PLUS,
     PiecewiseFunction,
     _as_scalar,
-    evaluate_jet,
+    governing_segment,
     linear_combine,
     piecewise,
 )
@@ -83,29 +83,25 @@ def omega_at(
     """Jump profile of f at x for orders 1..max_order (default: degree bound)."""
     x = _as_scalar(x)
     n = max_order if max_order is not None else max(1, f.degree_bound)
-    jet_plus = evaluate_jet(f, x, PLUS, n)
-    jet_minus = evaluate_jet(f, x, MINUS, n)
+    plus = governing_segment(f, x, PLUS)
+    minus = governing_segment(f, x, MINUS)
     s = scalar_sign(x)
-    def collapse(v):
-        if isinstance(v, RootValue) and v.is_rational:
-            return v.as_fraction()
-        return v
-
-    omega = []
-    tau = []
-    entries = []
-    for j in range(1, n + 1):
-        t = collapse(jet_plus[j] - jet_minus[j])
-        tau.append(t)
-        if s == 0:  # sgn(0+)^(j+1) = 1, sgn(0-)^(j+1) = (-1)^(j+1)
-            w = collapse(jet_plus[j] + (-1) ** j * jet_minus[j])
-        else:  # omega_j = sgn(x)^(j+1) tau_j, sharing tau's value where equal
-            w = t if s ** (j + 1) > 0 else -t
-        omega.append(w)
-        sign = value_sign(w)
-        if sign:
-            entries.append((j, sign, w))
-    return JumpProfile(x, tuple(omega), tuple(tau), tuple(entries))
+    if s == 0:  # sgn(0+)^(j+1) = 1, sgn(0-)^(j+1) = (-1)^(j+1)
+        a, b = plus.coefficient, minus.coefficient
+        tau = [a(j) - b(j) for j in range(1, n + 1)]
+        omega = [a(j) + (-1) ** j * b(j) for j in range(1, n + 1)]
+    else:  # omega_j = sgn(x)^(j+1) tau_j, sharing tau's value where equal
+        jump = (plus - minus).taylor(n)[1:]
+        if isinstance(x, Fraction):
+            tau = [q(x) for q in jump]
+        else:
+            tau = [root_value(q, x) for q in jump]
+            tau = [t.as_fraction() if t.is_rational else t for t in tau]
+        omega = [t if s ** (j + 1) > 0 else -t for j, t in enumerate(tau, start=1)]
+    entries = tuple(
+        (j, sign, w) for j, w in enumerate(omega, start=1) if (sign := value_sign(w))
+    )
+    return JumpProfile(x, tuple(omega), tuple(tau), entries)
 
 
 # ---------------------------------------------------------------------------

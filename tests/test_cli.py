@@ -1,3 +1,4 @@
+import ast
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -382,6 +383,15 @@ def test_decimal_rendering(capsys):
     assert doc["boundary_mean"] == "0.562500"
 
 
+@pytest.mark.parametrize("prec", ["-1", "two"])
+def test_bad_decimal_precision_exits_2(capsys, prec):
+    with pytest.raises(SystemExit) as exc:
+        run(["--manifest", "showcase", "--decimal", prec, "jensen", "--fn", "f",
+             "--r", "5/2"])
+    assert exc.value.code == 2
+    assert "--decimal" in capsys.readouterr().err
+
+
 def test_out_directory_matches_stdout(capsys, tmp_path):
     rc, out, _ = invoke(
         capsys, "--manifest", "showcase", "jensen", "--fn", "f", "--r", "5/2"
@@ -432,8 +442,21 @@ def test_manifest_from_path(capsys, tmp_path):
     assert out == EXPECTED_TABLE
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "benchmark" / "cli_demo_golden.json"
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "benchmark" / "cli_demo_golden.json"
 DEMO_COMMANDS = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_demo_script_runs_the_golden_commands_in_order():
+    """scripts/run_demo.py and the byte-identity golden list the same argv."""
+    script = ast.parse((REPO / "scripts" / "run_demo.py").read_text(encoding="utf-8"))
+    commands = next(
+        ast.literal_eval(node.value)
+        for node in script.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)
+    )
+    assert commands == [entry["argv"] for entry in DEMO_COMMANDS]
 
 
 @pytest.mark.parametrize(

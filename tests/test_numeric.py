@@ -169,6 +169,12 @@ def test_decimal_string_is_exact_rounding():
     assert decimal_string(F(1, 3), 4) == "0.3333"
     assert decimal_string(F(-1, 3), 4) == "-0.3333"
     assert decimal_string(F(2), 2) == "2.00"
+    assert decimal_string(F(5, 2), 0) == "3"
+
+
+def test_decimal_string_rejects_negative_digits():
+    with pytest.raises(ValueError, match="digits"):
+        decimal_string(F(9, 16), -1)
 
 
 def test_algebraic_requires_sign_change():

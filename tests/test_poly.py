@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from tropicalc.poly import Polynomial, frac, poly_gcd, squarefree_part
+from tropicalc.randgen import random_rational, rng
 
 
 def test_frac_accepts_int_str_fraction():
@@ -61,6 +63,64 @@ def test_derivative_and_jet():
     # jet entries are Taylor coefficients f^(k)(x)/k!
     assert p.jet(F(1), 3) == [F(6), F(5), F(6), F(2)]
     assert p.jet(F(1), 5) == [F(6), F(5), F(6), F(2), F(0), F(0)]
+
+
+def _jet_by_derivatives(p, x, max_order):
+    """The derivative-and-k! loop that Polynomial.jet replaced, kept as reference."""
+    out, q, fact = [], p, 1
+    for j in range(max_order + 1):
+        if j:
+            fact *= j
+            q = q.derivative()
+        out.append(q(x) / fact)
+    return out
+
+
+def _shift_by_horner(p, c):
+    """The Horner fold over (x + c) that Polynomial.taylor_shift replaced."""
+    acc = Polynomial.zero()
+    linear = Polynomial.of(c, 1)
+    for a in reversed(p.coeffs):
+        acc = acc * linear + Polynomial.constant(a)
+    return acc
+
+
+def _random_polynomials(seed, count=60, max_degree=6):
+    rnd = rng(seed)
+    for _ in range(count):
+        degree = rnd.randint(-1, max_degree)
+        yield rnd, Polynomial.from_coeffs(
+            random_rational(rnd, -9, 9, 5) for _ in range(degree + 1)
+        )
+
+
+def test_taylor_gives_scaled_derivatives_and_zeros_past_degree():
+    p = Polynomial.of(5, -1, 0, 2)
+    assert p.taylor(5) == [
+        p,
+        Polynomial.of(-1, 0, 6),
+        Polynomial.of(0, 6),
+        Polynomial.of(2),
+        Polynomial.zero(),
+        Polynomial.zero(),
+    ]
+    for _, q in _random_polynomials(3):
+        for k, qk in enumerate(q.taylor(q.degree + 2)):
+            assert qk == q.derivative(k).scale(F(1, math.factorial(k)))
+
+
+def test_jet_matches_derivative_reference():
+    for rnd, p in _random_polynomials(8):
+        x = random_rational(rnd, -3, 3, 7)
+        for n in range(p.degree + 3):
+            assert p.jet(x, n) == _jet_by_derivatives(p, x, n), (p, x, n)
+
+
+def test_taylor_shift_matches_horner_reference():
+    for rnd, p in _random_polynomials(11):
+        c = random_rational(rnd, -3, 3, 7)
+        assert p.taylor_shift(c) == _shift_by_horner(p, c), (p, c)
+    assert Polynomial.zero().taylor_shift(F(2)) == Polynomial.zero()
 
 
 def test_taylor_shift_matches_composition():

@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from tropicalc.errors import DiscontinuityDetected
-from tropicalc.numeric import AlgebraicNumber, scalar_eq, value_sign
+from tropicalc.numeric import (
+    AlgebraicNumber,
+    algebraic_root,
+    root_value,
+    scalar_eq,
+    value_sign,
+)
 from tropicalc.poly import Polynomial
 from tropicalc.polyseg import (
     MINUS,
@@ -70,6 +76,44 @@ def test_evaluate_jet_reports_one_sided_derivatives():
     assert evaluate_jet(f, 0, MINUS, 1) == [F(0), F(-1)]
     g = piecewise([], [[0, 0, 3]])  # 3x^2
     assert evaluate_jet(g, F(1, 2), PLUS, 2) == [F(3, 4), F(3), F(3)]
+
+
+SQRT2 = algebraic_root(Polynomial.of(-2, 0, 1), 1, 2)
+GOLDEN_RATIO = algebraic_root(Polynomial.of(-1, -1, 1), 1, 2)
+
+
+def _kinked_at(alpha):
+    """A cubic that picks up a multiple of alpha's defining polynomial at alpha."""
+    left = Polynomial.of(1, -2, 0, 1)
+    right = left + alpha.poly * Polynomial.of(3, F(-1, 2), 2)
+    return piecewise([alpha], [left, right])
+
+
+def _root_jet_by_derivatives(seg, x, max_order):
+    """evaluate_jet's former derivative-and-k! loop at an algebraic point."""
+    out, p, fact = [], seg, 1
+    for j in range(max_order + 1):
+        if j:
+            fact *= j
+            p = p.derivative()
+        out.append(root_value(p.scale(F(1, fact)), x))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [SQRT2, GOLDEN_RATIO], ids=["sqrt2", "golden"])
+def test_evaluate_jet_at_algebraic_points_matches_derivative_reference(alpha):
+    kinked = _kinked_at(alpha)
+    smooth = piecewise([0, 3], [[2, 1], [2, 1, 0, 1], [11, -5, 1, 1]])  # alpha inside
+    for f in (kinked, smooth):
+        for side in (PLUS, MINUS):
+            seg = governing_segment(f, alpha, side)
+            for n in range(f.degree_bound + 3):
+                assert evaluate_jet(f, alpha, side, n) == _root_jet_by_derivatives(
+                    seg, alpha, n
+                ), (f, side, n)
+    plus, minus = evaluate_jet(kinked, alpha, PLUS), evaluate_jet(kinked, alpha, MINUS)
+    jumps = [value_sign(p - m) for p, m in zip(plus, minus)]
+    assert jumps[0] == 0 and any(jumps[1:])  # continuous, with a real kink
 
 
 def test_display_format():

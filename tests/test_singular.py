@@ -3,9 +3,19 @@ from fractions import Fraction as F
 import pytest
 
 from tropicalc.errors import EmptyWindow
-from tropicalc.numeric import compare, scalar_eq, sort_scalars, value_sign
+from tropicalc.numeric import (
+    RootValue,
+    compare,
+    scalar_eq,
+    scalar_sign,
+    sort_scalars,
+    value_sign,
+)
 from tropicalc.polyseg import (
+    MINUS,
+    PLUS,
     constant,
+    evaluate_jet,
     linear_combine,
     piecewise,
     scale,
@@ -215,6 +225,56 @@ def test_omega_matches_d_matrix_formula(showcase, x0):
     n = showcase.degree_bound
     prof = omega_at(showcase, x0, n)
     assert list(prof.omega) == _omega_via_d_matrices(showcase, x0, n)
+
+
+def _jumps_by_one_sided_jets(f, x, n):
+    """(tau, omega) by omega_at's former body: two jets subtracted order by order."""
+    jet_plus = evaluate_jet(f, x, PLUS, n)
+    jet_minus = evaluate_jet(f, x, MINUS, n)
+    s = scalar_sign(x)
+
+    def collapse(v):
+        if isinstance(v, RootValue) and v.is_rational:
+            return v.as_fraction()
+        return v
+
+    tau, omega = [], []
+    for j in range(1, n + 1):
+        t = collapse(jet_plus[j] - jet_minus[j])
+        tau.append(t)
+        if s == 0:
+            omega.append(collapse(jet_plus[j] + (-1) ** j * jet_minus[j]))
+        else:
+            omega.append(t if s ** (j + 1) > 0 else -t)
+    return tau, omega
+
+
+def _reference_cases(showcase, sign_square):
+    x2, x3 = piecewise([], [[0, 0, 1]]), piecewise([], [[0, 0, 0, 1]])
+    yield showcase, [-2, -1, 0, 1, 2, F(1, 2), F(-7, 3)]
+    yield sign_square, [0, 1, F(-1, 2)]
+    for f in (
+        tropical_plus(x2, constant(2)),  # kinks at -sqrt2 and sqrt2
+        tropical_plus(x2, piecewise([], [[1, 1]])),  # at the golden ratio and 1 - it
+        tropical_plus(x3, piecewise([], [[0, 2]])),  # at -sqrt2, 0 and sqrt2
+    ):
+        yield f, [*f.breakpoints, 0, F(1, 3)]
+    rnd = rng(21)
+    for _ in range(8):
+        f = random_function(rnd)
+        yield f, [*f.breakpoints, 0, random_rational(rnd)]
+
+
+def test_omega_at_matches_one_sided_jet_reference(showcase, sign_square):
+    for f, points in _reference_cases(showcase, sign_square):
+        for x in points:
+            for n in (1, f.degree_bound, f.degree_bound + 2):
+                prof = omega_at(f, x, n)
+                tau, omega = _jumps_by_one_sided_jets(f, prof.location, n)
+                assert list(prof.tau) == tau, (f, x, n)
+                assert list(prof.omega) == omega, (f, x, n)
+                got = [type(v) for v in (*prof.tau, *prof.omega)]
+                assert got == [type(v) for v in (*tau, *omega)], (f, x, n)
 
 
 def test_entire_decomposition_round_trip(showcase):
