@@ -31,12 +31,12 @@ from pathlib import Path
 from . import curves as curves_mod
 from . import nevanlinna as nev
 from .errors import ManifestError, TropicalcError, UnknownReference
-from .manifest import Manifest, load_manifest, parse_manifest
+from .manifest import Manifest, function_to_json, load_manifest, parse_manifest
 from .numeric import decimal_string
 from .poly import frac
 from .polyseg import PiecewiseFunction
 from .randgen import random_function, random_radius, rng
-from .singular import _format_value, _profiles, classify, scan
+from .singular import _format_value, _profiles, _report_json, classify, scan
 
 _JENSEN_DEFAULT_RADII = (Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))
 
@@ -102,22 +102,7 @@ def _load_source(source: str | None) -> Manifest:
 
 
 def _function_display(fn: PiecewiseFunction) -> dict:
-    from .manifest import scalar_to_json
-
-    return {
-        "breakpoints": [scalar_to_json(bp) for bp in fn.breakpoints],
-        "segments": [[str(c) for c in s.coeffs] for s in fn.segments],
-        "display": str(fn),
-    }
-
-
-def _classification_json(fn: PiecewiseFunction) -> dict:
-    flags = classify(fn)
-    return {
-        "entire": flags.entire,
-        "nowhere_vanishing_entire": flags.nowhere_vanishing_entire,
-        "well_defined": flags.well_defined,
-    }
+    return {**function_to_json(fn), "display": str(fn)}
 
 
 def _decimalize(obj, precision: int):
@@ -157,7 +142,7 @@ def _cmd_analyze(args, manifest: Manifest):
     rows = [list(s.as_row()) for s in table.rows]
     payload = {
         "function": args.fn,
-        "classification": _classification_json(fn),
+        "classification": _report_json(classify(fn)),
         "rows": [dict(zip(header, row)) for row in rows],
         "grid": table.to_json_grid(),
     }
@@ -176,7 +161,7 @@ def _cmd_characteristic(args, manifest: Manifest):
         "function": args.fn,
         "r_max": str(frac(args.r_max)),
         "closed_forms": {k: nev.profile_json(bundle[k]) for k in keys},
-        "flags": vars(nev.profile_flags(bundle["T"])),
+        "flags": _report_json(nev.profile_flags(bundle["T"])),
         "values": [dict(zip(["r", *keys], row)) for row in rows],
     }
     return payload, (["r", *keys], rows), None
@@ -212,7 +197,7 @@ def _cmd_hyperexp(args, manifest):
         "tail_cutoff": result.cutoff,
         "tail_bound": str(result.tail_bound),
         "function": _function_display(fn),
-        "classification": _classification_json(fn),
+        "classification": _report_json(classify(fn)),
         "omega_table": [
             {"m": m, "order": o, "omega": w} for m, o, w in omega_rows
         ],
@@ -520,10 +505,14 @@ def run(argv=None) -> int:
     csv_text = _csv_text(*csv_data) if csv_data is not None else None
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{args.name}.json").write_text(json_text, encoding="utf-8")
-        if csv_text is not None:
-            (out_dir / f"{args.name}.csv").write_text(csv_text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"{args.name}.json").write_text(json_text, encoding="utf-8")
+            if csv_text is not None:
+                (out_dir / f"{args.name}.csv").write_text(csv_text, encoding="utf-8")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     elif args.csv:
         if csv_text is None:
             print(f"error: {args.name} has no CSV form", file=sys.stderr)

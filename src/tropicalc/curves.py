@@ -19,7 +19,7 @@ values when singularity locations are algebraic).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -59,7 +59,7 @@ from .polyseg import (
     shift,
     tropical_plus,
 )
-from .singular import _format_value, _profiles
+from .singular import _profiles, _report_json
 
 
 def _between(v, lo: Fraction, hi: Fraction) -> bool:
@@ -300,7 +300,7 @@ def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
 @dataclass(frozen=True)
 class SmtRow:
     r: Fraction
-    cartan_value: Fraction
+    cartan_value: Fraction = field(metadata={"key": "cartan"})
     roots_sum: object  # sum_j N_j(r, -(P o f))
     poles_sum: object  # sum_j N_j(r, P o f)
     residual: object
@@ -318,24 +318,7 @@ class SmtReport:
     def passed(self) -> bool:
         return all(row.in_band for row in self.rows)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "band": [str(self.band[0]), str(self.band[1])],
-            "passed": self.passed,
-            "rows": [
-                {
-                    "r": str(row.r),
-                    "cartan": _format_value(row.cartan_value),
-                    "roots_sum": _format_value(row.roots_sum),
-                    "poles_sum": _format_value(row.poles_sum),
-                    "residual": _format_value(row.residual),
-                    "in_band": row.in_band,
-                    "identity_gap": _format_value(row.identity_gap),
-                }
-                for row in self.rows
-            ],
-        }
+    to_json = _report_json
 
 
 def smt_homogeneous_check(
@@ -379,7 +362,7 @@ def smt_homogeneous_check(
 @dataclass(frozen=True)
 class FermatRow:
     r: Fraction
-    cartan_value: Fraction
+    cartan_value: Fraction = field(metadata={"key": "cartan"})
     pole_sum: object  # sum_j N_j(r, -(Q o f))
     ratio: object | None  # pole_sum / T^n, None when T = 0
     growth_diagnostic: Fraction | None  # r / T(r)
@@ -397,26 +380,7 @@ class FermatReport:
     def passed(self) -> bool:
         return all(row.in_window for row in self.rows)
 
-    def to_json(self) -> dict:
-        return {
-            "theta": str(self.theta),
-            "big_theta": str(self.big_theta),
-            "power": self.power,
-            "passed": self.passed,
-            "rows": [
-                {
-                    "r": str(row.r),
-                    "cartan": _format_value(row.cartan_value),
-                    "pole_sum": _format_value(row.pole_sum),
-                    "ratio": None if row.ratio is None else _format_value(row.ratio),
-                    "growth_diagnostic": None
-                    if row.growth_diagnostic is None
-                    else str(row.growth_diagnostic),
-                    "in_window": row.in_window,
-                }
-                for row in self.rows
-            ],
-        }
+    to_json = _report_json
 
 
 def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
@@ -498,27 +462,7 @@ class CasoratianBalanceReport:
     casoratian_tail_slope: Fraction | None
     tail_slopes_equal: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "step": str(self.step),
-            "rows": [
-                {
-                    "r": str(row.r),
-                    "lhs": _format_value(row.lhs),
-                    "shift_pole_block": _format_value(row.shift_pole_block),
-                    "window_block": _format_value(row.window_block),
-                    "excess": _format_value(row.excess),
-                }
-                for row in self.rows
-            ],
-            "component_tail_slope": None
-            if self.component_tail_slope is None
-            else str(self.component_tail_slope),
-            "casoratian_tail_slope": None
-            if self.casoratian_tail_slope is None
-            else str(self.casoratian_tail_slope),
-            "tail_slopes_equal": self.tail_slopes_equal,
-        }
+    to_json = _report_json
 
 
 def _tail_slopes(fn: PiecewiseFunction) -> tuple[Fraction, Fraction]:

@@ -92,6 +92,12 @@ def _parse_rational(node, where: str) -> Fraction:
     return value
 
 
+def _parse_int(node, where: str) -> int:
+    if isinstance(node, bool) or not isinstance(node, int):
+        raise ManifestSyntaxError(f"{where}: an integer is required, got {node!r}")
+    return node
+
+
 def _parse_coefficient(node, where: str) -> Fraction | None:
     return None if node is None else _parse_rational(node, where)
 
@@ -104,6 +110,14 @@ def scalar_to_json(value: Scalar):
             "interval": [str(lo), str(hi)],
         }
     return str(value)
+
+
+def function_to_json(fn: PiecewiseFunction) -> dict:
+    """A function as its manifest entry: breakpoints and segment coefficients."""
+    return {
+        "breakpoints": [scalar_to_json(bp) for bp in fn.breakpoints],
+        "segments": [[str(c) for c in s.coeffs] for s in fn.segments],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +157,7 @@ class Manifest:
         out: dict = {}
         if self.functions:
             out["functions"] = {
-                name: {
-                    "breakpoints": [scalar_to_json(bp) for bp in fn.breakpoints],
-                    "segments": [[str(c) for c in s.coeffs] for s in fn.segments],
-                }
-                for name, fn in self.functions.items()
+                name: function_to_json(fn) for name, fn in self.functions.items()
             }
         if self.tropical_products:
             out["tropical_products"] = {
@@ -286,39 +296,33 @@ def _parse_product(node, where: str) -> TropicalProductSpec:
     return TropicalProductSpec(factors)
 
 
+def _parse_monomial(node, where: str) -> tuple[tuple[int, ...], Fraction | None]:
+    node = _expect_object(node, where)
+    exponents = _expect_list(node.get("exponents"), f"{where}.exponents")
+    return (
+        tuple(_parse_int(e, f"{where}.exponents[{k}]") for k, e in enumerate(exponents)),
+        _parse_coefficient(node.get("coefficient"), f"{where}.coefficient"),
+    )
+
+
 def _parse_polynomial(node, where: str):
     node = _expect_object(node, where)
     kind = node.get("kind")
     try:
         if kind == "tropical":
             monomials = tuple(
-                (
-                    tuple(
-                        int(e)
-                        for e in _expect_list(
-                            _expect_object(m, f"{where}.monomials[{i}]").get(
-                                "exponents"
-                            ),
-                            f"{where}.monomials[{i}].exponents",
-                        )
-                    ),
-                    _parse_coefficient(
-                        m.get("coefficient"), f"{where}.monomials[{i}].coefficient"
-                    ),
-                )
+                _parse_monomial(m, f"{where}.monomials[{i}]")
                 for i, m in enumerate(_expect_list(node.get("monomials"), where))
             )
-            if not isinstance(node.get("degree"), int):
-                raise ManifestSyntaxError(f"{where}: integer 'degree' is required")
-            return TropicalPolynomialMap(monomials, node["degree"])
+            degree = _parse_int(node.get("degree"), f"{where}.degree")
+            return TropicalPolynomialMap(monomials, degree)
         if kind == "fermat":
             weights = tuple(
                 _parse_rational(w, f"{where}.weights[{i}]")
                 for i, w in enumerate(_expect_list(node.get("weights"), where))
             )
-            if not isinstance(node.get("power"), int):
-                raise ManifestSyntaxError(f"{where}: integer 'power' is required")
-            return FermatForm(weights, node["power"])
+            power = _parse_int(node.get("power"), f"{where}.power")
+            return FermatForm(weights, power)
     except (ValueError, TypeError) as e:
         raise ManifestSyntaxError(f"{where}: {e}")
     raise ManifestSyntaxError(

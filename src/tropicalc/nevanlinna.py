@@ -21,7 +21,7 @@ in r, enabling exact shape checks (non-negative / non-decreasing / convex).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,9 +65,9 @@ from .polyseg import (
 )
 from .singular import (  # noqa: F401  (omega_at is re-exported)
     _format_scalar,
-    _format_value,
     _profiles,
     _profiles_in,
+    _report_json,
     classify,
     omega_at,
 )
@@ -281,17 +281,7 @@ class JensenReport:
     def passed(self) -> bool:
         return _residual_vanishes(self.residual)
 
-    def to_json(self) -> dict:
-        return {
-            "r": str(self.r),
-            "boundary_mean": _format_value(self.boundary_mean),
-            "root_sum": _format_value(self.root_sum),
-            "pole_sum": _format_value(self.pole_sum),
-            "reconstructed": _format_value(self.reconstructed),
-            "reference": _format_value(self.reference),
-            "residual": _format_value(self.residual),
-            "passed": self.passed(),
-        }
+    to_json = _report_json
 
 
 def _residual_vanishes(residual) -> bool:
@@ -570,7 +560,7 @@ class SingularityContribution:
     order: int
     region: str
     omega: object
-    energy: object  # E(r, x, y)^j
+    energy: object = field(metadata={"key": "energy_power"})  # E(r, x, y)^j
     b_term: object
     d_term: object
     omega_weight: object  # Ω per the region decomposition
@@ -581,11 +571,11 @@ class SingularityContribution:
 class PoissonJensenReport:
     x: Fraction
     r: Fraction
-    n: int
+    n: int = field(metadata={"key": "order_bound"})
     boundary_mean: object
     slope_term: object
-    b_sum: object
-    d_sum: object
+    b_sum: object = field(metadata={"key": "singular_B_sum"})
+    d_sum: object = field(metadata={"key": "singular_D_sum"})
     correction_x: object
     correction_zero: object
     contributions: tuple[SingularityContribution, ...]
@@ -596,36 +586,7 @@ class PoissonJensenReport:
     def passed(self) -> bool:
         return _residual_vanishes(self.residual)
 
-    def to_json(self) -> dict:
-        return {
-            "x": str(self.x),
-            "r": str(self.r),
-            "order_bound": self.n,
-            "boundary_mean": _format_value(self.boundary_mean),
-            "slope_term": _format_value(self.slope_term),
-            "singular_B_sum": _format_value(self.b_sum),
-            "singular_D_sum": _format_value(self.d_sum),
-            "correction_x": _format_value(self.correction_x),
-            "correction_zero": _format_value(self.correction_zero),
-            "contributions": [
-                {
-                    "location": _format_scalar(c.location),
-                    "order": c.order,
-                    "region": c.region,
-                    "omega": _format_value(c.omega),
-                    "energy_power": _format_value(c.energy),
-                    "b_term": _format_value(c.b_term),
-                    "d_term": _format_value(c.d_term),
-                    "omega_weight": _format_value(c.omega_weight),
-                    "gamma_weight": _format_value(c.gamma_weight),
-                }
-                for c in self.contributions
-            ],
-            "reconstructed": _format_value(self.reconstructed),
-            "reference": _format_value(self.reference),
-            "residual": _format_value(self.residual),
-            "passed": self.passed(),
-        }
+    to_json = _report_json
 
 
 def _b_aux(r: Fraction, x: Fraction, k: int) -> Fraction:
@@ -773,17 +734,7 @@ class Lemma44Report:
     rhs: Fraction
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "c": str(self.c),
-            "alpha": str(self.alpha),
-            "r": str(self.r),
-            "threshold": str(self.threshold),
-            "lhs_plus": str(self.lhs_plus),
-            "lhs_minus": str(self.lhs_minus),
-            "rhs": str(self.rhs),
-            "passed": self.passed,
-        }
+    to_json = _report_json
 
 
 def lemma44_check(f: PiecewiseFunction, c, alpha, r) -> Lemma44Report:
@@ -919,12 +870,7 @@ class GrowthEstimates:
     order_estimates: tuple[float, ...]
     hyper_order_estimates: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "grid": [str(r) for r in self.grid],
-            "order_estimates": list(self.order_estimates),
-            "hyper_order_estimates": list(self.hyper_order_estimates),
-        }
+    to_json = _report_json
 
 
 def growth_estimates(profile: RadiusProfile, grid: Sequence) -> GrowthEstimates:

@@ -25,13 +25,15 @@ turns them into display rows, for the CLI and for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyWindow
 from .numeric import (
     AlgebraicNumber,
+    ExactValue,
+    RootValue,
     Scalar,
     compare,
     decimal_string,
@@ -136,6 +138,35 @@ def _format_value(v) -> str:
         return str(v)
     lo, hi = value_enclosure(v, Fraction(1, 10**15))
     return "~" + decimal_string((lo + hi) / 2, 12)
+
+
+def _report_json(report) -> dict:
+    """A report dataclass as JSON, field by field, plus `passed` if it has one.
+
+    A field is emitted under its name, or under `metadata["key"]` when given.
+    Algebraic locations render like `_format_scalar`, exact values like
+    `_format_value`, and nested rows recursively.
+    """
+    out = {
+        f.metadata.get("key", f.name): _json_value(getattr(report, f.name))
+        for f in fields(report)
+    }
+    passed = getattr(report, "passed", None)
+    if passed is not None:
+        out["passed"] = passed() if callable(passed) else passed
+    return out
+
+
+def _json_value(v):
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, AlgebraicNumber):
+        return _format_scalar(v)
+    if isinstance(v, (Fraction, RootValue, ExactValue)):
+        return _format_value(v)
+    return _report_json(v)
 
 
 @dataclass(frozen=True)
@@ -356,8 +387,8 @@ def entire_decomposition(
     starts from the origin mirror rule b(-1,j) = (-1)^(j+1) (b(1,j) - w_j(0)).
     Returns (h, g) with h = f + g pointwise, so f = h - g exactly.
 
-    Only rational breakpoints are supported (the recursion solves rational
-    triangular systems); raises ValueError otherwise.
+    Only rational breakpoints are supported (each crossing is a rational
+    polynomial in t - x); raises ValueError otherwise.
     """
     if any(isinstance(bp, AlgebraicNumber) for bp in f.breakpoints):
         raise ValueError("decomposition requires rational breakpoints")
@@ -375,58 +406,42 @@ def entire_decomposition(
 
     omega = {p.location: p.omega for p in _profiles(f)}  # sorted, includes 0
 
-    def compensation(x) -> list[Fraction] | None:
-        comp = [(-wj if wj < 0 else Fraction(0)) for wj in omega[x]]
-        return comp if any(comp) else None
+    def compensation(x) -> list[Fraction]:
+        return [(-wj if wj < 0 else Fraction(0)) for wj in omega[x]]
+
+    def crossing(x, coeffs: list[Fraction]) -> Polynomial:
+        """sum_j coeffs[j-1] (t - x)^j: the jump at x, zero at x itself."""
+        return Polynomial.from_coeffs([0, *coeffs]).taylor_shift(-x)
 
     positive = [x for x in omega if x > 0]
     negative = [x for x in omega if x < 0]
 
-    def with_constant(high: list[Fraction], const: Fraction) -> Polynomial:
-        return Polynomial.from_coeffs([const, *high])
-
-    # positive side, origin outward
-    pos_segs = [with_constant(seed_coeffs[1:], seed_coeffs[0])]
+    # positive side, origin outward: add the compensating jet at each pole
+    pos_segs = [Polynomial.from_coeffs(seed_coeffs)]
     pos_bps: list[Fraction] = []
-    cur = seed_coeffs[1:]
     for x in positive:
         comp = compensation(x)
-        if comp is None:
-            continue
-        jump = jump_matrix(x, n, "C").solve(comp)
-        nxt = [c + d for c, d in zip(cur, jump)]
-        const = pos_segs[-1](x) - sum(
-            (c * x**k for k, c in enumerate(nxt, start=1)), Fraction(0)
-        )
-        pos_bps.append(x)
-        pos_segs.append(with_constant(nxt, const))
-        cur = nxt
+        if any(comp):
+            pos_bps.append(x)
+            pos_segs.append(pos_segs[-1] + crossing(x, comp))
 
     # cross the origin
-    comp0 = [(-wj if wj < 0 else Fraction(0)) for wj in omega[Fraction(0)]]
+    comp0 = compensation(Fraction(0))
     left_high = [
         Fraction(-1) ** (j + 1) * (seed_coeffs[j] - comp0[j - 1])
         for j in range(1, n + 1)
     ]
-    left_const = seed_coeffs[0]
 
-    # negative side, origin outward (rightmost negative pole first)
-    neg_segs = [with_constant(left_high, left_const)]
+    # negative side, origin outward (rightmost negative pole first): left of a
+    # pole x < 0, omega_j = (-1)^(j+1) tau_j, so the jet is sign-flipped
+    neg_segs = [Polynomial.from_coeffs([seed_coeffs[0], *left_high])]
     neg_bps: list[Fraction] = []
-    cur = left_high
     for x in reversed(negative):
         comp = compensation(x)
-        if comp is None:
-            continue
-        jump = jump_matrix(x, n, "D_minus").solve(comp)
-        # crossing leftward: left coefficients = right coefficients - jump
-        nxt = [c - d for c, d in zip(cur, jump)]
-        const = neg_segs[0](x) - sum(
-            (c * x**k for k, c in enumerate(nxt, start=1)), Fraction(0)
-        )
-        neg_bps.insert(0, x)
-        neg_segs.insert(0, with_constant(nxt, const))
-        cur = nxt
+        if any(comp):
+            flipped = [c if j % 2 else -c for j, c in enumerate(comp, start=1)]
+            neg_bps.insert(0, x)
+            neg_segs.insert(0, neg_segs[0] - crossing(x, flipped))
 
     g = piecewise([*neg_bps, Fraction(0), *pos_bps], [*neg_segs, *pos_segs])
     h = linear_combine(f, g, 1, 1)

@@ -417,6 +417,20 @@ def test_out_directory_writes_csv_too(capsys, tmp_path):
     assert (tmp_path / "analyze.json").exists()
 
 
+@pytest.mark.parametrize("under", ["file", "file/sub"])
+def test_unusable_out_directory_exits_2(capsys, tmp_path, under):
+    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+    rc, out, err = invoke(
+        capsys,
+        "--out", str(tmp_path / under),
+        "special", "hyperexp", "--n", "2", "--alpha", "2",
+        "--window", "-2", "2", "--tail", "4",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_byte_determinism(capsys):
     args = (
         "--manifest", "envelope_curve",

@@ -1,9 +1,13 @@
+import importlib.util
 import json
+import re
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from tropicalc.cli import run
 from tropicalc.errors import (
     DiscontinuityDetected,
     DuplicateName,
@@ -187,6 +191,34 @@ def test_booleans_are_rejected_in_scalars():
         parse_manifest(json.dumps(doc))
 
 
+def _tropical(exponents, degree):
+    monomial = {"exponents": exponents, "coefficient": "0"}
+    return {"kind": "tropical", "degree": degree, "monomials": [monomial]}
+
+
+@pytest.mark.parametrize(
+    "polynomial, where",
+    [
+        (_tropical([1.5, 1.5], 2), "monomials[0].exponents[0]"),
+        (_tropical([2.0, 0], 2), "monomials[0].exponents[0]"),
+        (_tropical([1, "1"], 2), "monomials[0].exponents[1]"),
+        (_tropical([True, False], 1), "monomials[0].exponents[0]"),
+        (_tropical([1, 0], True), "degree"),
+        (_tropical([1, 0], 1.0), "degree"),
+        ({"kind": "fermat", "power": True, "weights": ["1"]}, "power"),
+        ({"kind": "fermat", "power": 2.0, "weights": ["1"]}, "power"),
+    ],
+)
+def test_manifest_integers_must_be_json_integers(tmp_path, capsys, polynomial, where):
+    text = json.dumps({"polynomials": {"p": polynomial}})
+    with pytest.raises(ManifestSyntaxError, match=re.escape(f"polynomials.p.{where}:")):
+        parse_manifest(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["--manifest", str(path), "analyze", "--fn", "f"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_null_marks_absent_monomials():
     doc = {
         "polynomials": {
@@ -230,3 +262,15 @@ def test_bundled_fermat_staircase_objects():
     g = m.curve("g")
     h = m.curve("h")
     assert g.arity == h.arity == 2
+
+
+def test_bundled_data_is_what_the_generator_writes():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "build_datasets.py"
+    spec = importlib.util.spec_from_file_location("build_datasets", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    data = resources.files("tropicalc").joinpath("data")
+    shipped = {p.name[: -len(".json")] for p in data.iterdir() if p.name.endswith(".json")}
+    assert shipped == set(module.DATASETS) == set(BUNDLED)
+    for name, manifest in module.DATASETS.items():
+        assert bundled_text(name) == serialize_manifest(manifest), name

@@ -303,6 +303,59 @@ def test_entire_decomposition_with_seed(showcase):
         assert h(x) - g(x) == showcase(x)
 
 
+def _decomposition_by_jump_matrices(f, seed):
+    """g by entire_decomposition's former body: a triangular solve per pole."""
+    from tropicalc.poly import Polynomial
+    from tropicalc.singular import _profiles
+
+    n = max(1, f.degree_bound)
+    seed = [F(c) for c in seed] + [F(0)] * (n + 1 - len(seed))
+    omega = {p.location: p.omega for p in _profiles(f)}
+
+    def compensation(x):
+        return [(-w if w < 0 else F(0)) for w in omega[x]]
+
+    def segment(high, const):
+        return Polynomial.from_coeffs([const, *high])
+
+    pos_segs, pos_bps, cur = [segment(seed[1:], seed[0])], [], seed[1:]
+    for x in [x for x in omega if x > 0]:
+        comp = compensation(x)
+        if not any(comp):
+            continue
+        jump = jump_matrix(x, n, "C").solve(comp)
+        cur = [c + d for c, d in zip(cur, jump)]
+        const = pos_segs[-1](x) - sum(c * x**k for k, c in enumerate(cur, start=1))
+        pos_bps.append(x)
+        pos_segs.append(segment(cur, const))
+    comp0 = compensation(F(0))
+    cur = [F(-1) ** (j + 1) * (seed[j] - comp0[j - 1]) for j in range(1, n + 1)]
+    neg_segs, neg_bps = [segment(cur, seed[0])], []
+    for x in reversed([x for x in omega if x < 0]):
+        comp = compensation(x)
+        if not any(comp):
+            continue
+        jump = jump_matrix(x, n, "D_minus").solve(comp)
+        cur = [c - d for c, d in zip(cur, jump)]
+        const = neg_segs[0](x) - sum(c * x**k for k, c in enumerate(cur, start=1))
+        neg_bps.insert(0, x)
+        neg_segs.insert(0, segment(cur, const))
+    return piecewise([*neg_bps, F(0), *pos_bps], [*neg_segs, *pos_segs])
+
+
+def test_entire_decomposition_matches_jump_matrix_solve(showcase):
+    rnd = rng(11)
+    cases = [(showcase, []), (showcase, [1, 2, 0, 1])]
+    for k in range(40):
+        seed = [random_rational(rnd) for _ in range(k % 5)]
+        cases.append((random_function(rnd), seed))
+    for f, seed in cases:
+        _, g = entire_decomposition(f, seed or None)
+        want = _decomposition_by_jump_matrices(f, seed)
+        assert g.breakpoints == want.breakpoints, f
+        assert g.segments == want.segments, f
+
+
 def test_entire_decomposition_rejects_algebraic_breakpoints():
     from tropicalc.polyseg import constant, tropical_plus
 
