@@ -67,14 +67,8 @@ def _grid_radii(spec: str, profile=None) -> list[Fraction]:
     if spec == "exact":
         if profile is None:
             raise ValueError("--grid exact needs a radius profile context")
-        radii = [
-            bp
-            for bp in profile.profile.breakpoints
-            if isinstance(bp, Fraction) and 0 < bp <= profile.r_max
-        ]
-        if profile.r_max not in radii:
-            radii.append(profile.r_max)
-        return radii
+        breakpoints = profile.profile.breakpoints
+        return [bp for bp in breakpoints if isinstance(bp, Fraction)] + [profile.r_max]
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"--grid wants lo:hi:step or 'exact', got {spec!r}")

@@ -36,8 +36,8 @@ from .nevanlinna import (
     RadiusProfile,
     _disk_sums,
     _positive_radius,
-    _tail_from_zero,
     counting,
+    jensen_report,
 )
 from .numeric import (
     ExactValue,
@@ -145,12 +145,11 @@ def cartan(c: TropicalCurve, r) -> Fraction:
 
 
 def cartan_profile(c: TropicalCurve, r_max) -> RadiusProfile:
-    r_max = _positive_radius(r_max)
     _warn_if_not_reduced(c)
     env = c.envelope()
     prof = linear_combine(env, reflect(env), Fraction(1, 2), Fraction(1, 2))
     prof = linear_combine(prof, constant(evaluate(env, 0)), 1, -1)
-    return RadiusProfile("T", None, r_max, _tail_from_zero(prof))
+    return RadiusProfile("T", None, r_max, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,10 @@ def smt_homogeneous_check(
     for r in r_grid:
         r = _positive_radius(r)
         t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
-        roots_sum, poles_sum = _disk_sums(g, r)
+        jensen = jensen_report(g, r)
+        roots_sum, poles_sum = jensen.root_sum, jensen.pole_sum
         diff = exact_sum([roots_sum, -poles_sum])
-        boundary = (evaluate(g, r) + evaluate(g, -r)) / 2 - g0
-        identity_gap = exact_sum([diff, -boundary])
+        identity_gap = -jensen.residual  # diff - (boundary mean - g(0))
         combined = exact_sum([diff, -(d * t)])
         residual = scale_value(combined, 1 / d)
         in_band = _between(residual, *band)
@@ -378,7 +377,7 @@ class FermatReport:
 
     @property
     def passed(self) -> bool:
-        return all(row.in_window for row in self.rows)
+        return all(row.in_window is not False for row in self.rows)
 
     to_json = _report_json
 

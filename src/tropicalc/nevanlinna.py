@@ -16,6 +16,10 @@ to any requested width.
 
 Radius profiles represent m, N_j, and T as closed-form piecewise polynomials
 in r, enabling exact shape checks (non-negative / non-decreasing / convex).
+A profile holds only (0, r_max]: `RadiusProfile` drops every breakpoint
+outside (0, r_max) when it is built.  `jensen_report` is the one place the
+Jensen identity is assembled; `jensen_balance` and `counting_difference`
+read it.
 """
 
 from __future__ import annotations
@@ -88,23 +92,14 @@ def _positive_radius(r) -> Fraction:
     return r
 
 
-def _clamp_nonneg(v: Fraction) -> Fraction:
-    return v if v > 0 else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # pointwise functionals
-
-
-def _proximity_of(at_r: Fraction, at_minus_r: Fraction) -> Fraction:
-    """(v+(r) + v+(-r)) / 2 from a function's values v(r) and v(-r)."""
-    return (_clamp_nonneg(at_r) + _clamp_nonneg(at_minus_r)) / 2
 
 
 def proximity(f: PiecewiseFunction, r):
     """(f+(r) + f+(-r)) / 2 where f+ = max(f, 0)."""
     r = _positive_radius(r)
-    return _proximity_of(evaluate(f, r), evaluate(f, -r))
+    return (max(evaluate(f, r), Fraction(0)) + max(evaluate(f, -r), Fraction(0))) / 2
 
 
 def counting(
@@ -229,21 +224,10 @@ def characteristic(f: PiecewiseFunction, r):
 def jensen_balance(f: PiecewiseFunction, r):
     """T(r, f) - T(r, -f) - f(0); exactly zero by the Jensen identity.
 
-    T(r, -f) is read off f itself: the poles of -f are f's roots, and
-    m(r, -f) takes the positive part of -f(r) and -f(-r).
+    This is the Jensen report's residual: m(r, f) - m(r, -f) is the
+    boundary mean, and the poles of -f are the roots of f.
     """
-    r = _positive_radius(r)
-    f_r, f_mr = evaluate(f, r), evaluate(f, -r)
-    roots, poles = _disk_sums(f, r)
-    return exact_sum(
-        [
-            _proximity_of(f_r, f_mr),
-            poles,
-            -_proximity_of(-f_r, -f_mr),
-            -roots,
-            -evaluate(f, 0),
-        ]
-    )
+    return jensen_report(f, r).residual
 
 
 def counting_difference(h: PiecewiseFunction, r) -> tuple:
@@ -252,16 +236,11 @@ def counting_difference(h: PiecewiseFunction, r) -> tuple:
     The two entries agree exactly for every h and r; this is the exact
     residual bookkeeping behind the homogeneous band check.
     """
-    r = _positive_radius(r)
-    roots, poles = _disk_sums(h, r)
-    lhs = exact_sum([roots, -poles])
-    rhs = exact_sum(
-        [
-            scale_value(exact_sum([evaluate(h, r), evaluate(h, -r)]), _HALF),
-            -evaluate(h, 0),
-        ]
+    report = jensen_report(h, r)
+    return (
+        exact_sum([report.root_sum, -report.pole_sum]),
+        report.boundary_mean - report.reference,
     )
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +288,29 @@ def jensen_report(f: PiecewiseFunction, r) -> JensenReport:
 
 @dataclass(frozen=True)
 class RadiusProfile:
+    """A functional of r as a piecewise polynomial on (0, r_max].
+
+    The profile keeps only the breakpoints inside (0, r_max): its first
+    segment starts at 0 and its last one reaches r_max.
+    """
+
     kind: str  # "m", "N", or "T"
     order: int | None
     r_max: Fraction
     profile: PiecewiseFunction
+
+    def __post_init__(self):
+        r_max = _positive_radius(self.r_max)
+        f = self.profile
+        lt, on = _index_left_of(f, Fraction(0))
+        lo = lt + on  # drop the breakpoints <= 0
+        hi, _ = _index_left_of(f, r_max)  # keep the breakpoints < r_max
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(
+            self,
+            "profile",
+            PiecewiseFunction(f.breakpoints[lo:hi], f.segments[lo : hi + 1]),
+        )
 
     def __call__(self, r):
         r = _positive_radius(r)
@@ -328,53 +326,31 @@ class ProfileFlags:
     convex: bool
 
 
-def _tail_from_zero(f: PiecewiseFunction) -> PiecewiseFunction:
-    """Restrict a piecewise function to (0, +inf) (drop breakpoints <= 0)."""
-    lt, on = _index_left_of(f, Fraction(0))
-    idx = lt + 1 if on else lt
-    keep = lt + (1 if on else 0)
-    return PiecewiseFunction(f.breakpoints[keep:], f.segments[idx:])
-
-
 def proximity_profile(f: PiecewiseFunction, r_max) -> RadiusProfile:
-    r_max = _positive_radius(r_max)
     fp = plus_part(f)
     prof = linear_combine(fp, reflect(fp), Fraction(1, 2), Fraction(1, 2))
-    return RadiusProfile("m", None, r_max, _tail_from_zero(prof))
+    return RadiusProfile("m", None, r_max, prof)
 
 
 def counting_profile(
     f: PiecewiseFunction, j: int, r_max, sign: str = POLES_OF_F
 ) -> RadiusProfile:
     """Closed-form piecewise polynomial r -> N_j(r, f) on (0, r_max]."""
-    r_max = _positive_radius(r_max)
-    rows = _counted_rows(f, j, sign)
-    entries: list[tuple[Fraction, Fraction]] = []
-    for z, w in rows:
+    weights: dict[Fraction, Fraction] = {}
+    for z, w in _counted_rows(f, j, sign):
         if not isinstance(z, Fraction) or not isinstance(w, Fraction):
             raise ValueError(
                 "counting profiles need rational singularity data; "
                 f"got an algebraic entry at {z!r}"
             )
-        if abs(z) < r_max:
-            entries.append((abs(z), w))
-    entries.sort(key=lambda t: t[0])
-    magnitudes: list[Fraction] = []
-    for m, _ in entries:
-        if not magnitudes or magnitudes[-1] != m:
-            magnitudes.append(m)
+        weights[abs(z)] = weights.get(abs(z), Fraction(0)) + w
+    bps = sorted(weights)
     acc = Polynomial.zero()
     segs = [acc]
-    bps: list[Fraction] = []
-    for m in magnitudes:
-        weight = sum(w for mm, w in entries if mm == m)
-        term = Polynomial.from_coeffs((-m, 1)) ** j
-        acc = acc + term.scale(weight / 2)
-        if m == 0:
-            segs[-1] = acc  # a pole at the origin counts for every r > 0
-        else:
-            bps.append(m)
-            segs.append(acc)
+    for m in bps:
+        acc = acc + (Polynomial.from_coeffs((-m, 1)) ** j).scale(weights[m] / 2)
+        segs.append(acc)
+    # a pole at the origin makes a breakpoint 0, which the domain cut drops
     return RadiusProfile("N", j, r_max, PiecewiseFunction(tuple(bps), tuple(segs)))
 
 
@@ -384,7 +360,6 @@ def characteristic_profile(f: PiecewiseFunction, r_max) -> RadiusProfile:
 
 def profile_bundle(f: PiecewiseFunction, r_max) -> dict[str, RadiusProfile]:
     """All functional profiles keyed 'm', 'N1'.., 'T' (shared degree bound)."""
-    r_max = _positive_radius(r_max)
     n = max(1, f.degree_bound)
     out = {"m": proximity_profile(f, r_max)}
     total = out["m"].profile
@@ -406,42 +381,24 @@ def profile_flags(rp: RadiusProfile) -> ProfileFlags:
         return p.is_zero or all(s > 0 for _, s in sign_runs(p, lo, hi))
 
     prof = rp.profile
-    bounds: list[Scalar | None] = [Fraction(0), *prof.breakpoints, None]
+    bps = prof.breakpoints
     nonneg = nondecr = convex = True
-    for k, seg in enumerate(prof.segments):
-        lo = bounds[k]
-        hi = bounds[k + 1]
-        if hi is not None and compare(hi, Fraction(0)) <= 0:
-            continue  # segment entirely left of the domain
-        if compare(lo, rp.r_max) >= 0:
-            continue  # segment entirely beyond r_max
-        clip_lo = lo if compare(lo, Fraction(0)) > 0 else Fraction(0)
-        clip_hi = hi if (hi is not None and compare(hi, rp.r_max) < 0) else rp.r_max
-        nonneg = nonneg and nonneg_on(seg, clip_lo, clip_hi)
-        nondecr = nondecr and nonneg_on(seg.derivative(), clip_lo, clip_hi)
-        convex = convex and nonneg_on(seg.derivative(2), clip_lo, clip_hi)
-    for k, bp in enumerate(prof.breakpoints):
-        if compare(bp, Fraction(0)) <= 0 or compare(bp, rp.r_max) >= 0:
-            continue
+    for seg, lo, hi in zip(prof.segments, [Fraction(0), *bps], [*bps, rp.r_max]):
+        nonneg = nonneg and nonneg_on(seg, lo, hi)
+        nondecr = nondecr and nonneg_on(seg.derivative(), lo, hi)
+        convex = convex and nonneg_on(seg.derivative(2), lo, hi)
+    for k, bp in enumerate(bps):
         jump = prof.segments[k + 1].derivative() - prof.segments[k].derivative()
         convex = convex and poly_sign_at(jump, bp) >= 0
     return ProfileFlags(nonneg, nondecr, convex)
 
 
 def profile_json(rp: RadiusProfile) -> dict:
-    # display only the segments the (0, r_max]-gated profile can ever use
-    cut = len(rp.profile.breakpoints)
-    for k, bp in enumerate(rp.profile.breakpoints):
-        if compare(bp, rp.r_max) >= 0:
-            cut = k
-            break
     return {
         "kind": rp.kind if rp.order is None else f"{rp.kind}{rp.order}",
         "r_max": str(rp.r_max),
-        "breakpoints": [_format_scalar(b) for b in rp.profile.breakpoints[:cut]],
-        "segments": [
-            [str(c) for c in s.coeffs] for s in rp.profile.segments[: cut + 1]
-        ],
+        "breakpoints": [_format_scalar(b) for b in rp.profile.breakpoints],
+        "segments": [[str(c) for c in s.coeffs] for s in rp.profile.segments],
     }
 
 

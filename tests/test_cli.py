@@ -317,6 +317,30 @@ def test_verify_fermat_failure_exits_1(capsys):
     assert doc["rows"][0]["ratio"] == "8"
 
 
+def test_verify_fermat_with_every_row_unchecked_exits_0(capsys, tmp_path):
+    manifest = {
+        "functions": {
+            "zero": {"breakpoints": [], "segments": [["0"]]},
+            "one": {"breakpoints": [], "segments": [["1"]]},
+        },
+        "curves": {"flat": ["zero", "one"]},
+        "polynomials": {"Q": {"kind": "fermat", "power": 2, "weights": ["1", "2"]}},
+    }
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    rc, out, err = invoke(
+        capsys,
+        "--manifest", str(path),
+        "verify", "fermat", "--curve", "flat", "--poly", "Q", "--grid", "1:3:1",
+    )
+    assert rc == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert [row["in_window"] for row in doc["rows"]] == [None, None, None]
+    assert [row["cartan"] for row in doc["rows"]] == ["0", "0", "0"]
+
+
 def test_verify_fermat_staircase_passes(capsys):
     rc, out, _ = invoke(
         capsys,

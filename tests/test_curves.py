@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
 from itertools import permutations
@@ -249,6 +250,21 @@ def test_fermat_zero_height_rows_are_skipped():
     row = rep.rows[0]
     assert row.cartan_value == 0
     assert row.ratio is None and row.in_window is None
+
+
+def test_fermat_rows_left_unchecked_do_not_fail():
+    # T = 0 on the whole grid: no row is checked, so none can fail
+    both_flat = curve([constant(0), constant(1)])
+    rep = fermat_bounds(FermatForm((1, 2), 2), both_flat, [1, 2, 3])
+    assert [row.in_window for row in rep.rows] == [None, None, None]
+    assert rep.passed is True
+    assert rep.to_json()["passed"] is True
+    # one checked row out of the window still fails the report
+    flat = curve([constant(0), piecewise([], [[0, 2]])])
+    mixed = fermat_bounds(FermatForm((1, 2), 2), flat, [10])
+    rows = (*rep.rows, *mixed.rows)
+    assert [row.in_window for row in rows] == [None, None, None, False]
+    assert replace(rep, rows=rows).passed is False
 
 
 def test_fermat_requires_linear_components(mirror_curve):
