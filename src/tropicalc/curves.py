@@ -13,7 +13,9 @@ to a common additive gauge.  The module provides:
   balance blocks.
 
 All computations are exact; report rows carry Fractions (or exact symbolic
-values when singularity locations are algebraic).
+values when singularity locations are algebraic).  A curve is analysed once:
+it keeps its Casoratian per step and its composite per polynomial map, so a
+report reads the function its caller has already built.
 """
 
 from __future__ import annotations
@@ -77,12 +79,21 @@ def _abs_value(v):
 
 @dataclass(frozen=True)
 class TropicalCurve:
+    """Pole-free components (f_0, ..., f_m), compared by their components.
+
+    The curve keeps its Casoratian per step and its composite per
+    polynomial map, each built on first use; they are not fields, so they
+    leave ==, hash and repr alone.
+    """
+
     components: tuple[PiecewiseFunction, ...]
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("a curve needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "_casoratians", {})
+        object.__setattr__(self, "_composites", {})
         for i, comp in enumerate(self.components):
             for p in _profiles(comp):
                 if any(sign < 0 for _, sign, _ in p.entries):
@@ -203,9 +214,11 @@ class TropicalPolynomialMap:
 
 
 def compose_tropical(p: TropicalPolynomialMap, c: TropicalCurve) -> PiecewiseFunction:
-    """max over monomials of (a_I + sum_k i_k * f_k), exactly."""
+    """max over monomials of (a_I + sum_k i_k * f_k), exactly; kept on c per map."""
     if p.arity != c.arity:
         raise ArityMismatch(p.arity, c.arity)
+    if p in c._composites:
+        return c._composites[p]
     terms = []
     for exponents, coeff in p.monomials:
         if coeff is None:
@@ -217,7 +230,8 @@ def compose_tropical(p: TropicalPolynomialMap, c: TropicalCurve) -> PiecewiseFun
         terms.append(g)
     if not terms:
         raise AllNegInfinity("every monomial coefficient is -infinity")
-    return reduce(tropical_plus, terms)
+    c._composites[p] = reduce(tropical_plus, terms)
+    return c._composites[p]
 
 
 @dataclass(frozen=True)
@@ -268,6 +282,7 @@ def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
 
     The max-plus permanent of the shift matrix, built over subsets: best[S]
     is the max over injections of components 0..|S|-1 onto the shift set S.
+    It is built once per step and kept on c.
     """
     step = frac(step)
     if step == 0:
@@ -277,6 +292,8 @@ def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
         raise TooManyComponents(
             f"{m1} components need 2^{m1} shift subsets; the limit is 9"
         )
+    if step in c._casoratians:
+        return c._casoratians[step]
     shifted = [[shift(comp, k * step) for k in range(m1)] for comp in c.components]
     best = {1 << k: g for k, g in enumerate(shifted[0])}
     for row in shifted[1:]:
@@ -289,7 +306,8 @@ def casoratian(c: TropicalCurve, step=1) -> PiecewiseFunction:
                 key = used | (1 << k)
                 grown[key] = tropical_plus(grown[key], total) if key in grown else total
         best = grown
-    return best[(1 << m1) - 1]
+    c._casoratians[step] = best[(1 << m1) - 1]
+    return c._casoratians[step]
 
 
 # ---------------------------------------------------------------------------

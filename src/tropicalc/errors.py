@@ -96,6 +96,21 @@ class BadWindow(TropicalcError):
     """A construction window that does not straddle 0 or has bad bounds."""
 
 
+class AlgebraicSingularity(TropicalcError, ValueError):
+    """A closed-form profile met a singular point at an algebraic |z| < r_max.
+
+    Its pieces would need coefficients in Q(|z|).  Also a ValueError, so
+    callers that catch ValueError for unusable profile input still catch it.
+    """
+
+    def __init__(self, location):
+        self.location = location
+        super().__init__(
+            "counting profiles need rational singularity data; "
+            f"got an algebraic point at x = {location!r} inside the radius"
+        )
+
+
 class NonPositiveValues(TropicalcError):
     """Growth-scale estimates need profile values > 1 on the whole grid."""
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    AlgebraicSingularity,
     BadWindow,
     NonPositiveRadius,
     NonPositiveValues,
@@ -335,14 +336,18 @@ def proximity_profile(f: PiecewiseFunction, r_max) -> RadiusProfile:
 def counting_profile(
     f: PiecewiseFunction, j: int, r_max, sign: str = POLES_OF_F
 ) -> RadiusProfile:
-    """Closed-form piecewise polynomial r -> N_j(r, f) on (0, r_max]."""
+    """Closed-form piecewise polynomial r -> N_j(r, f) on (0, r_max].
+
+    Points with |z| >= r_max add nothing there and are skipped; an algebraic
+    point inside the radius raises AlgebraicSingularity.
+    """
+    r_max = _positive_radius(r_max)
     weights: dict[Fraction, Fraction] = {}
     for z, w in _counted_rows(f, j, sign):
+        if compare(scalar_abs(z), r_max) >= 0:
+            continue
         if not isinstance(z, Fraction) or not isinstance(w, Fraction):
-            raise ValueError(
-                "counting profiles need rational singularity data; "
-                f"got an algebraic entry at {z!r}"
-            )
+            raise AlgebraicSingularity(z)
         weights[abs(z)] = weights.get(abs(z), Fraction(0)) + w
     bps = sorted(weights)
     acc = Polynomial.zero()

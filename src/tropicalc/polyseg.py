@@ -305,7 +305,19 @@ def sign_runs(p: Polynomial, left, right) -> list[tuple]:
     """[(left end, sign of p)] on the runs p's real roots cut (left, right) into.
 
     p must be nonzero; a None end means -infinity (left) or +infinity (right).
+    Degrees 0 and 1 are solved in closed form: a constant is one run, and a
+    line c0 + c1 x changes sign only at its rational root -c0/c1.
     """
+    if p.degree == 0:
+        return [(left, sign_of(p.coefficient(0)))]
+    if p.degree == 1:
+        s = sign_of(p.coefficient(1))
+        root = -p.coefficient(0) / p.coefficient(1)
+        if left is not None and compare(root, left) <= 0:
+            return [(left, s)]
+        if right is not None and compare(root, right) >= 0:
+            return [(left, -s)]
+        return [(left, -s), (root, s)]
     roots = [
         r
         for r in real_roots_in(

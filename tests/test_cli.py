@@ -169,6 +169,45 @@ def test_characteristic_numeric_grid(capsys):
     assert len(lines) == 5
 
 
+def _neg_max_square_two_manifest(tmp_path):
+    """-max(x^2, 2): order-1 poles at +-sqrt(2) and nothing else."""
+    sqrt2 = {"poly": [-2, 0, 1], "interval": ["1", "2"]}
+    neg_sqrt2 = {"poly": [-2, 0, 1], "interval": ["-2", "-1"]}
+    manifest = {
+        "functions": {
+            "g": {
+                "breakpoints": [neg_sqrt2, sqrt2],
+                "segments": [["0", "0", "-1"], ["-2"], ["0", "0", "-1"]],
+            }
+        }
+    }
+    path = tmp_path / "neg_max.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return str(path)
+
+
+def test_characteristic_inside_algebraic_poles(capsys, tmp_path):
+    rc, out, err = invoke(
+        capsys,
+        "--manifest", _neg_max_square_two_manifest(tmp_path),
+        "characteristic", "--fn", "g", "--r-max", "7/5", "--grid", "1/2:1:1/2",
+    )
+    assert rc == 0
+    assert err == ""
+    assert [row["T"] for row in json.loads(out)["values"]] == ["0", "0"]
+
+
+def test_characteristic_across_algebraic_poles_exits_2(capsys, tmp_path):
+    rc, out, err = invoke(
+        capsys,
+        "--manifest", _neg_max_square_two_manifest(tmp_path),
+        "characteristic", "--fn", "g", "--r-max", "2",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "1.414214" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

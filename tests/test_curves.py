@@ -384,3 +384,81 @@ def test_casoratian_balance_tail_slopes(staircase_odd, staircase_even):
     assert rep.tail_slopes_equal is True
     js = rep.to_json()
     assert js["tail_slopes_equal"] is True
+
+
+# ---------------------------------------------------------------------------
+# each curve is analysed once
+
+
+@pytest.fixture
+def sums_formed(monkeypatch):
+    """Counts the pointwise sums `curves` forms: each build of a Casoratian
+    or a composite forms some, and no report forms any of its own."""
+    import tropicalc.curves as curves_module
+
+    calls = []
+    original = curves_module.linear_combine
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curves_module, "linear_combine", counted)
+    return calls
+
+
+def test_casoratian_is_built_once_per_curve_and_step(sums_formed):
+    cur = randgen.random_linear_curve(randgen.rng(5), arity=3, max_roots=3)
+    before = (repr(cur), hash(cur))
+    c0 = casoratian(cur, 1)
+    per_build = len(sums_formed)
+    assert per_build > 0
+    report = casoratian_balance(cur, [F(2), F(3)], 1)
+    assert len(sums_formed) == per_build
+    assert casoratian(cur, "1") is c0
+    assert casoratian(cur, F(1)) is c0
+    assert len(sums_formed) == per_build
+    half = casoratian(cur, F(1, 2))
+    casoratian_balance(cur, [F(2)], F(1, 2))
+    assert half is not c0
+    assert len(sums_formed) == 2 * per_build
+    assert (repr(cur), hash(cur)) == before
+
+    twin = TropicalCurve(cur.components)
+    assert twin == cur and hash(twin) == hash(cur) and repr(twin) == repr(cur)
+    assert casoratian_balance(twin, [F(2), F(3)], 1) == report
+    assert len(sums_formed) == 3 * per_build
+    assert casoratian(twin, 1) is not c0 and casoratian(twin, 1) == c0
+
+
+def test_composite_is_built_once_per_curve_and_map(sums_formed):
+    rnd = randgen.rng(11)
+    cur = curve(randgen.random_entire(rnd, degree=2, max_breaks=2) for _ in range(2))
+    p = TropicalPolynomialMap(
+        (((2, 0), F(1)), ((1, 1), F(-1, 2)), ((0, 2), F(0))), 2
+    )
+    before = (repr(cur), hash(cur))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = compose_tropical(p, cur)
+        per_build = len(sums_formed)
+        assert per_build > 0
+        report = smt_homogeneous_check(p, cur, [F(1), F(5, 2)])
+        assert len(sums_formed) == per_build
+        same_map = TropicalPolynomialMap(p.monomials, p.degree)
+        assert compose_tropical(same_map, cur) is g
+        assert len(sums_formed) == per_build
+        q = TropicalPolynomialMap((((2, 0), F(0)), ((0, 2), F(0))), 2)
+        compose_tropical(q, cur)
+        both = len(sums_formed)
+        assert both > per_build
+        smt_homogeneous_check(q, cur, [F(1)])
+        assert len(sums_formed) == both
+        assert (repr(cur), hash(cur)) == before
+
+        twin = TropicalCurve(cur.components)
+        assert twin == cur and hash(twin) == hash(cur) and repr(twin) == repr(cur)
+        assert smt_homogeneous_check(p, twin, [F(1), F(5, 2)]) == report
+        assert compose_tropical(p, twin) is not g
+        assert compose_tropical(p, twin) == g
+    assert len(sums_formed) == both + per_build

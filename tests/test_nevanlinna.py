@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropicalc.errors import (
+    AlgebraicSingularity,
     EmptyWindow,
     NonPositiveRadius,
     NonPositiveValues,
@@ -11,6 +12,7 @@ from tropicalc.errors import (
     NotWellDefined,
     PointOutsideDisk,
     RadiusBelowThreshold,
+    TropicalcError,
     WindowOutOfRange,
     ZeroShift,
 )
@@ -36,7 +38,7 @@ from tropicalc.nevanlinna import (
     profile_flags,
     proximity,
 )
-from tropicalc.numeric import exact_sum, scalar_sign
+from tropicalc.numeric import exact_sum, poly_sign_at, scalar_sign
 from tropicalc.poly import Polynomial
 from tropicalc.polyseg import (
     MINUS,
@@ -464,6 +466,29 @@ def test_counting_profile_requires_rational_data():
     neg = scale(f, -1)  # poles at +-sqrt(2)
     with pytest.raises(ValueError, match="rational"):
         counting_profile(neg, 1, 4)
+
+
+def _neg_max_square_two():
+    from tropicalc.polyseg import constant, scale, tropical_plus
+
+    return scale(tropical_plus(piecewise([], [[0, 0, 1]]), constant(2)), -1)
+
+
+@pytest.mark.parametrize("r_max", [F(1), F(7, 5)])
+def test_counting_profile_skips_points_outside_the_radius(r_max):
+    neg = _neg_max_square_two()  # poles at +-sqrt(2), outside (0, 7/5]
+    assert counting_profile(neg, 1, r_max).profile.segments == (Polynomial.zero(),)
+    bundle = profile_bundle(neg, r_max)
+    for r in (r_max / 3, r_max / 2, r_max):
+        assert bundle["T"](r) == characteristic(neg, r) == 0
+
+
+def test_counting_profile_names_an_algebraic_point_inside():
+    neg = _neg_max_square_two()
+    with pytest.raises(AlgebraicSingularity, match="1.414214") as info:
+        counting_profile(neg, 1, F(3, 2))
+    assert isinstance(info.value, TropicalcError)
+    assert poly_sign_at(Polynomial.of(-2, 0, 1), info.value.location) == 0
 
 
 # ---------------------------------------------------------------------------
