@@ -147,6 +147,26 @@ def sturm_isolate(
 # ---------------------------------------------------------------------------
 # Rational roots
 
+_CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _no_root_mod_some_prime(w: Polynomial) -> bool:
+    """True if w (integer coefficients) has no root mod a prime not dividing lead(w)."""
+    coeffs = [int(c) for c in reversed(w.coeffs)]  # leading coefficient first
+    for p in _CERTIFICATE_PRIMES:
+        if coeffs[0] % p == 0:
+            continue
+        residues = [c % p for c in coeffs]
+        for x in range(p):
+            acc = 0
+            for c in residues:
+                acc = (acc * x + c) % p
+            if acc == 0:
+                break
+        else:
+            return True
+    return False
+
 
 def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     """Split off every rational root of p.
@@ -162,6 +182,11 @@ def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     Degrees 1 and 2 are solved in closed form instead: they are most of the
     polynomials stripped (crossings of linear and quadratic pieces), and the
     bisection would cost tens of exact evaluations per root.
+
+    From degree 3 on, w is first reduced modulo the small primes p that do
+    not divide L, and if w has no root mod some such p it has no rational
+    root, so the isolation is skipped.  This is sound because q | L makes q
+    invertible mod p, so a rational root a/q would give the root a*q^-1 mod p.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
@@ -177,6 +202,8 @@ def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
         roots = []
         if s * s == disc:
             roots = [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    elif _no_root_mod_some_prime(w):
+        return [], w
     else:
         lead = int(w.leading)
         width = Fraction(1, 2 * lead * lead)
@@ -333,7 +360,10 @@ class AlgebraicNumber:
         return hash("algebraic")
 
     def __repr__(self) -> str:
-        return f"AlgebraicNumber({self.poly}, ~{self.decimal(6)})"
+        # Refine a copy: printing must not narrow the interval that
+        # serialization writes.
+        fresh = AlgebraicNumber(self.poly, self._lo, self._hi)
+        return f"AlgebraicNumber({self.poly}, ~{fresh.decimal(6)})"
 
 
 Scalar = Union[Fraction, AlgebraicNumber]

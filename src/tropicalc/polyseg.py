@@ -29,7 +29,6 @@ from .numeric import (
     real_roots_in,
     refine,
     root_value,
-    scalar_eq,
     separators,
     sign_of,
 )
@@ -193,7 +192,7 @@ def _merged(f: PiecewiseFunction, g: PiecewiseFunction):
     The k-th yielded interval runs from its bound (None = -inf for the first)
     to the next yielded bound (+inf for the last).
     """
-    bps: list[Scalar] = []
+    rows = [(None, f.segments[0], g.segments[0])]
     i = j = 0
     fb, gb = f.breakpoints, g.breakpoints
     while i < len(fb) or j < len(gb):
@@ -202,22 +201,14 @@ def _merged(f: PiecewiseFunction, g: PiecewiseFunction):
         else:
             c = -1 if i < len(fb) else 1
         if c <= 0:
-            bps.append(fb[i])
+            bp = fb[i]
             i += 1
             if c == 0:
                 j += 1
         else:
-            bps.append(gb[j])
+            bp = gb[j]
             j += 1
-    rows = []
-    fi = gi = 0
-    rows.append((None, f.segments[0], g.segments[0]))
-    for bp in bps:
-        if fi < len(fb) and scalar_eq(fb[fi], bp):
-            fi += 1
-        if gi < len(gb) and scalar_eq(gb[gi], bp):
-            gi += 1
-        rows.append((bp, f.segments[fi], g.segments[gi]))
+        rows.append((bp, f.segments[i], g.segments[j]))
     return rows
 
 

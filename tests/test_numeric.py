@@ -1,11 +1,17 @@
+import json
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from tropicalc import numeric
 from tropicalc.errors import PrecisionExhausted, TropicalcError
 from tropicalc.numeric import (
     AlgebraicNumber,
+    _no_root_mod_some_prime,
     algebraic_root,
+    cauchy_root_bound,
     compare,
     decimal_string,
     exact_sum,
@@ -15,13 +21,15 @@ from tropicalc.numeric import (
     scalar_eq,
     separators,
     sort_scalars,
+    strip_rational_roots,
     sturm_chain,
     sturm_count,
+    sturm_isolate,
     value_enclosure,
     value_float,
     value_sign,
 )
-from tropicalc.poly import Polynomial
+from tropicalc.poly import Polynomial, squarefree_part
 
 
 SQRT2 = algebraic_root(Polynomial.of(-2, 0, 1), 1, 2)
@@ -190,3 +198,147 @@ def test_undecidable_conjugate_sum_raises_a_typed_error():
     with pytest.raises(PrecisionExhausted):
         value_sign(total)
     assert issubclass(PrecisionExhausted, TropicalcError)
+
+
+# ---------------------------------------------------------------------------
+# The modular no-rational-root certificate of strip_rational_roots
+
+
+def reference_strip_rational_roots(p):
+    """The isolate-and-snap strip with no certificate, kept as the reference."""
+    w = squarefree_part(p).primitive()
+    if w.degree <= 0:
+        return [], w
+    if w.degree == 1:
+        roots = [-w.coeffs[0] / w.coeffs[1]]
+    elif w.degree == 2:
+        c, b, a = (int(k) for k in w.coeffs)
+        disc = b * b - 4 * a * c
+        s = math.isqrt(max(disc, 0))
+        roots = []
+        if s * s == disc:
+            roots = [F(-b - s, 2 * a), F(-b + s, 2 * a)]
+    else:
+        lead = int(w.leading)
+        width = F(1, 2 * lead * lead)
+        bound = cauchy_root_bound(w)
+        roots = []
+        for interval in sturm_isolate(w, (-bound - 1, bound + 1)):
+            lo, hi = AlgebraicNumber(w, *interval).refine_to(width)
+            candidate = ((lo + hi) / 2).limit_denominator(lead)
+            if lo < candidate < hi and w(candidate) == 0:
+                roots.append(candidate)
+    for root in roots:
+        w = w // Polynomial.from_coeffs((-root.numerator, root.denominator))
+    return roots, w
+
+
+def _random_integer_poly(rnd, degree):
+    coeffs = [rnd.randint(-9, 9) for _ in range(degree)]
+    return Polynomial.of(*coeffs, rnd.choice([-1, 1]) * rnd.randint(1, 9))
+
+
+def _planted(rnd):
+    """A polynomial of degree 3-6 with 1-3 planted rational roots a/q."""
+    degree = rnd.randint(3, 6)
+    planted = set()
+    p = Polynomial.of(1)
+    for _ in range(rnd.randint(1, min(3, degree))):
+        q = rnd.randint(1, 6)
+        root = F(rnd.randint(-9, 9), q)
+        planted.add(root)
+        p = p * Polynomial.of(-root.numerator, root.denominator)  # q x - a
+    return p * _random_integer_poly(rnd, degree - p.degree), planted
+
+
+def _assert_same_strip(got, want):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_never_fires_on_planted_rational_roots(seed):
+    rnd = random.Random(seed)
+    for _ in range(25):
+        p, planted = _planted(rnd)
+        w = squarefree_part(p).primitive()
+        # every planted a/q has q | lead(w), so it is a root mod every
+        # prime that the certificate does not skip
+        assert all(int(w.leading) % r.denominator == 0 for r in planted)
+        assert not _no_root_mod_some_prime(w)
+        roots, cofactor = strip_rational_roots(p)
+        assert planted <= set(roots)
+        assert all(cofactor(r) != 0 for r in roots)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_strip_matches_the_snap_reference(seed):
+    rnd = random.Random(100 + seed)
+    fired = 0
+    for k in range(30):
+        if k % 2:
+            p, _ = _planted(rnd)
+        else:
+            p = _random_integer_poly(rnd, rnd.randint(3, 6))
+        w = squarefree_part(p).primitive()
+        fired += w.degree >= 3 and _no_root_mod_some_prime(w)
+        _assert_same_strip(strip_rational_roots(p), reference_strip_rational_roots(p))
+    assert fired > 0
+
+
+def _count_snap_calls(monkeypatch):
+    calls = {"sturm_isolate": 0, "refine_to": 0}
+    isolate, refine_to = numeric.sturm_isolate, AlgebraicNumber.refine_to
+
+    def counted_isolate(*args):
+        calls["sturm_isolate"] += 1
+        return isolate(*args)
+
+    def counted_refine_to(self, eps):
+        calls["refine_to"] += 1
+        return refine_to(self, eps)
+
+    monkeypatch.setattr(numeric, "sturm_isolate", counted_isolate)
+    monkeypatch.setattr(AlgebraicNumber, "refine_to", counted_refine_to)
+    return calls
+
+
+def test_root_mod_every_prime_falls_back_to_the_snap(monkeypatch):
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6): mod every p one of 2, 3, 6 is a square
+    p = Polynomial.of(-2, 0, 1) * Polynomial.of(-3, 0, 1) * Polynomial.of(-6, 0, 1)
+    assert not _no_root_mod_some_prime(p)
+    calls = _count_snap_calls(monkeypatch)
+    roots, cofactor = strip_rational_roots(p)
+    assert roots == [] and cofactor == p
+    assert calls["sturm_isolate"] == 1
+    assert calls["refine_to"] == 6
+    assert len(real_roots_in(p)) == 6
+
+
+def test_every_prime_dividing_the_lead_falls_back_to_the_snap(monkeypatch):
+    L = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+    p = Polynomial.of(-1, L) * Polynomial.of(-2, 0, 1)  # (L x - 1)(x^2 - 2)
+    assert not _no_root_mod_some_prime(p)
+    calls = _count_snap_calls(monkeypatch)
+    roots, cofactor = strip_rational_roots(p)
+    assert roots == [F(1, L)]
+    assert cofactor == Polynomial.of(-2, 0, 1)
+    assert calls["sturm_isolate"] == 1
+    _assert_same_strip((roots, cofactor), reference_strip_rational_roots(p))
+
+
+def test_certified_cubic_isolates_nothing(monkeypatch):
+    p = Polynomial.of(-2, 0, 0, 1)  # x^3 - 2: no root mod 7
+    calls = _count_snap_calls(monkeypatch)
+    assert strip_rational_roots(p) == ([], p)
+    assert calls == {"sturm_isolate": 0, "refine_to": 0}
+
+
+def test_repr_leaves_serialization_unchanged():
+    from tropicalc.manifest import function_to_json
+    from tropicalc.polyseg import constant, piecewise, tropical_plus
+
+    f = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))
+    before = json.dumps(function_to_json(f))
+    assert repr(f.breakpoints[1]).startswith("AlgebraicNumber(")
+    assert json.dumps(function_to_json(f)) == before

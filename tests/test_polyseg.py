@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropicalc import numeric, polyseg
 from tropicalc.errors import DiscontinuityDetected
 from tropicalc.numeric import (
     AlgebraicNumber,
     algebraic_root,
+    compare,
     root_value,
     scalar_eq,
     value_sign,
@@ -14,9 +16,11 @@ from tropicalc.poly import Polynomial
 from tropicalc.polyseg import (
     MINUS,
     PLUS,
+    PiecewiseFunction,
     TropicalFactor,
     TropicalProductSpec,
     ZERO,
+    _merged,
     constant,
     evaluate,
     evaluate_jet,
@@ -213,3 +217,89 @@ def test_constant_and_zero():
     assert ZERO.breakpoints == ()
     assert evaluate(ZERO, F(17, 3)) == 0
     assert evaluate(constant(F(-5, 7)), 100) == F(-5, 7)
+
+
+# ---------------------------------------------------------------------------
+# _merged: one merge pass decides which function each breakpoint came from
+
+
+def reference_merged(f, g):
+    """The merge followed by the scalar_eq pass that re-decided the sources."""
+    bps = []
+    i = j = 0
+    fb, gb = f.breakpoints, g.breakpoints
+    while i < len(fb) or j < len(gb):
+        if i < len(fb) and j < len(gb):
+            c = compare(fb[i], gb[j])
+        else:
+            c = -1 if i < len(fb) else 1
+        if c <= 0:
+            bps.append(fb[i])
+            i += 1
+            if c == 0:
+                j += 1
+        else:
+            bps.append(gb[j])
+            j += 1
+    rows = [(None, f.segments[0], g.segments[0])]
+    fi = gi = 0
+    for bp in bps:
+        if fi < len(fb) and scalar_eq(fb[fi], bp):
+            fi += 1
+        if gi < len(gb) and scalar_eq(gb[gi], bp):
+            gi += 1
+        rows.append((bp, f.segments[fi], g.segments[gi]))
+    return rows
+
+
+def _sqrt(n, sign=1):
+    root = algebraic_root(Polynomial.of(-n, 0, 1), 1, n)
+    return root if sign > 0 else -root
+
+
+def _labelled(breakpoints, offset):
+    """A stand-in function whose k-th segment is the constant offset + k."""
+    segs = tuple(Polynomial.of(offset + k) for k in range(len(breakpoints) + 1))
+    return PiecewiseFunction(tuple(breakpoints), segs)
+
+
+MERGE_CASES = {
+    "rational": ([F(-1), F(1, 2), F(3)], [F(-2), F(0), F(5)]),
+    "algebraic": ([_sqrt(2, -1), _sqrt(2)], [_sqrt(3, -1), F(1), _sqrt(3)]),
+    "shared": ([F(-1), _sqrt(2), F(2)], [F(-1), F(0), _sqrt(2), F(2)]),
+    "disjoint": ([F(-3), F(-2)], [F(1), _sqrt(2)]),
+    "one-empty": ([], [_sqrt(3, -1), F(0)]),
+}
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merged_rows_match_the_reference(case):
+    fb, gb = MERGE_CASES[case]
+    f, g = _labelled(fb, 0), _labelled(gb, 100)
+    for a, b in ((f, g), (g, f)):
+        got, want = _merged(a, b), reference_merged(a, b)
+        assert len(got) == len(want)
+        for row_got, row_want in zip(got, want):
+            assert all(x is y for x, y in zip(row_got, row_want))
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merged_compares_once_per_merge_step(case, monkeypatch):
+    fb, gb = MERGE_CASES[case]
+    f, g = _labelled(fb, 0), _labelled(gb, 100)
+    rows = _merged(f, g)
+    # a merge step compares the heads of two nonempty lists: one per merged
+    # breakpoint up to the smaller of the two last breakpoints
+    last = min(fb[-1], gb[-1]) if fb and gb else None
+    steps = sum(1 for bp, _, _ in rows[1:] if last is not None and bp <= last)
+    calls = []
+    original = numeric.compare
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(numeric, "compare", counted)
+    monkeypatch.setattr(polyseg, "compare", counted)
+    _merged(f, g)
+    assert len(calls) == steps
