@@ -3,8 +3,9 @@
 The package does all of its analysis in exact arithmetic.  A scalar is either
 a :class:`fractions.Fraction` or an :class:`AlgebraicNumber` -- a real root of
 an integer polynomial, pinned down by an isolating interval whose endpoints
-are rationals with opposite polynomial signs.  Comparisons are decided
-exactly (Sturm counts + gcd arguments, never floating point) and every
+are rationals with opposite polynomial signs, holding exactly one root.
+Sturm sequences only isolate and count roots; comparisons are then decided
+exactly by polynomial signs at rationals (never floating point), and every
 derived quantity can be enclosed in an interval of requested width.
 
 Value sums that mix rationals with polynomial expressions evaluated at
@@ -226,21 +227,25 @@ def strip_rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
 class AlgebraicNumber:
     """A real root of an integer polynomial, isolated by an interval.
 
-    The interval (lo, hi) has rational non-root endpoints with a sign change
-    and contains exactly one root.  Every number the library makes
-    (`algebraic_root`, `real_roots_in`) has a squarefree primitive defining
-    polynomial with positive leading coefficient and no rational root, so it
-    is irrational; the constructor itself does not check for rational roots.
-    The interval narrows in place as comparisons demand (a cache, not state).
+    The invariant: poly is squarefree and the interval (lo, hi) has rational
+    non-root endpoints with a sign change and holds exactly one root.  So a
+    rational q inside lies below the root iff poly(q) has poly(lo)'s sign,
+    and a divisor of poly vanishes at the root iff it changes sign across
+    the interval.  The constructor checks the sign change; `algebraic_root`
+    (numbers from outside) also counts the roots, and the library's own
+    numbers (`sturm_isolate`, shifts, negation) hold it by construction,
+    with a primitive poly free of rational roots, so they are irrational.
+    Comparing with a rational and `sign()` never narrow the interval;
+    separation, refinement and `RootValue` signs halve it in place (a
+    cache, not state).
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_lo_sign", "_chain")
+    __slots__ = ("poly", "_lo", "_hi", "_lo_sign")
 
     def __init__(self, poly: Polynomial, lo: Fraction, hi: Fraction):
         self.poly = poly
         self._lo = lo
         self._hi = hi
-        self._chain: list[Polynomial] | None = None
         # The sign of poly at the left end; halving keeps it.
         self._lo_sign = sign_of(poly(lo))
         if not (lo < hi and self._lo_sign * sign_of(poly(hi)) < 0):
@@ -254,34 +259,18 @@ class AlgebraicNumber:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
-    @property
-    def chain(self) -> list[Polynomial]:
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
-
     def _halve(self) -> None:
         mid = (self._lo + self._hi) / 2
-        s = sign_of(self.poly(mid))
-        if s == 0:
-            # mid is a rational root (only a polynomial that still has one,
-            # as inside strip_rational_roots): pinch next to it, keeping the
-            # sign-change invariant intact.
-            offset = (self._hi - self._lo) / 4
-            while True:
-                c, d = mid - offset, mid + offset
-                if self.poly(c) != 0 and self.poly(d) != 0:
-                    break
-                offset /= 2
-            if sign_of(self.poly(c)) != self._lo_sign:
-                self._hi = c
-            else:
-                self._lo, self._hi = c, d
-            return
-        if s == self._lo_sign:
+        side = self._compare_rational(mid)
+        if side == GREATER:
             self._lo = mid
-        else:
+        elif side == LESS:
             self._hi = mid
+        else:
+            # mid is the root, a rational one (as in strip_rational_roots):
+            # centre the half-width interval on it; its ends are not roots.
+            quarter = (self._hi - self._lo) / 4
+            self._lo, self._hi = mid - quarter, mid + quarter
 
     def refine_to(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         if eps <= 0:
@@ -297,13 +286,7 @@ class AlgebraicNumber:
     # -- numeric views --------------------------------------------------------
 
     def sign(self) -> int:
-        if self._lo >= 0:
-            return 1
-        if self._hi <= 0:
-            return -1
-        while self._lo < 0 < self._hi:
-            self._halve()
-        return 1 if self._lo >= 0 else -1
+        return self._compare_rational(Fraction(0))
 
     def __float__(self) -> float:
         lo, hi = self.refine_to(Fraction(1, 10**18))
@@ -319,15 +302,15 @@ class AlgebraicNumber:
     # -- comparisons ------------------------------------------------------------
 
     def _compare_rational(self, q: Fraction) -> int:
-        lo, hi = self._lo, self._hi
-        if q <= lo:
+        if q <= self._lo:
             return GREATER
-        if q >= hi:
+        if q >= self._hi:
             return LESS
-        if self.poly(q) == 0:
+        s = sign_of(self.poly(q))
+        if s == 0:
             return EQUAL  # q is the unique root in the interval
-        # Root lies in (lo, q) or (q, hi); one Sturm count decides which.
-        return LESS if sturm_count(self.chain, lo, q) == 1 else GREATER
+        # poly(lo)'s sign at q: no root in (lo, q], so the root is above q.
+        return GREATER if s == self._lo_sign else LESS
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (AlgebraicNumber, Fraction, int)):
@@ -360,19 +343,30 @@ class AlgebraicNumber:
         return hash("algebraic")
 
     def __repr__(self) -> str:
-        # Refine a copy: printing must not narrow the interval that
-        # serialization writes.
-        fresh = AlgebraicNumber(self.poly, self._lo, self._hi)
-        return f"AlgebraicNumber({self.poly}, ~{fresh.decimal(6)})"
+        return f"AlgebraicNumber({self.poly}, {_approximation(self)})"
 
 
 Scalar = Union[Fraction, AlgebraicNumber]
 
 
+def _approximation(alpha: AlgebraicNumber) -> str:
+    """"~" and alpha to 6 places, refined on a copy: printing must not narrow
+    the interval that serialization writes."""
+    return "~" + AlgebraicNumber(alpha.poly, *alpha.interval).decimal(6)
+
+
 def algebraic_root(poly: Polynomial, lo, hi) -> AlgebraicNumber:
-    """Canonicalize and wrap: squarefree primitive poly, rationals stripped."""
+    """Canonicalize and wrap: squarefree primitive poly, rationals stripped.
+
+    Numbers enter from outside here, so a Sturm count checks that the
+    interval holds exactly one root (ValueError otherwise)."""
     _, w = strip_rational_roots(poly)
-    return AlgebraicNumber(w, frac(lo), frac(hi))
+    lo, hi = frac(lo), frac(hi)
+    number = AlgebraicNumber(w, lo, hi)
+    count = sturm_count(sturm_chain(w), lo, hi)
+    if count != 1:
+        raise ValueError(f"({lo}, {hi}) holds {count} roots of {w}, not exactly one")
+    return number
 
 
 def real_roots_in(
@@ -429,25 +423,19 @@ def _compare_alg_alg(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     return EQUAL
 
 
+def _shares_the_root(g: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Does g, a divisor of the polynomial of a number isolated by (lo, hi),
+    vanish at it?  g's only possible root there is that simple root, and g
+    is nonzero at lo and hi, so it vanishes there iff it changes sign."""
+    return g.degree >= 1 and sign_of(g(lo)) != sign_of(g(hi))
+
+
 def _maybe_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     """Decide equality exactly; False means the values differ."""
-    alo, ahi = a.interval
-    blo, bhi = b.interval
-    if ahi <= blo or bhi <= alo:
-        return False
-    g = poly_gcd(a.poly, b.poly)
-    if g.degree < 1:
-        return False
-    g = g.primitive()
-    gchain = sturm_chain(g)
-    # g's endpoints are safe: g divides both polynomials, whose endpoint
-    # values are nonzero by the isolating-interval invariant.
-    a_owns = sturm_count(gchain, alo, ahi) == 1
-    b_owns = sturm_count(gchain, blo, bhi) == 1
-    if not (a_owns and b_owns):
-        return False
-    hull_lo, hull_hi = min(alo, blo), max(ahi, bhi)
-    return sturm_count(gchain, hull_lo, hull_hi) == 1
+    (alo, ahi), (blo, bhi) = a.interval, b.interval
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    # On the overlap, a root of the gcd is both a's root and b's.
+    return lo < hi and _shares_the_root(poly_gcd(a.poly, b.poly), lo, hi)
 
 
 def _separate(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
@@ -589,11 +577,8 @@ class RootValue:
             return 0
         if self.num.degree == 0:
             return sign_of(self.num.coefficient(0))
-        g = poly_gcd(self.num, self.root.poly)
-        if g.degree >= 1:
-            lo, hi = self.root.interval
-            if sturm_count(sturm_chain(g.primitive()), lo, hi) == 1:
-                return 0  # alpha is a root of q as well
+        if _shares_the_root(poly_gcd(self.num, self.root.poly), *self.root.interval):
+            return 0  # alpha is a root of q as well
         for _ in range(_MAX_REFINE_STEPS):
             lo, hi = self.root.interval
             vlo, vhi = self.num.eval_interval(lo, hi)

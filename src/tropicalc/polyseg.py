@@ -24,6 +24,7 @@ from .numeric import (
     AlgebraicNumber,
     RootValue,
     Scalar,
+    _approximation,
     compare,
     poly_sign_at,
     real_roots_in,
@@ -65,20 +66,18 @@ class PiecewiseFunction:
     def __str__(self) -> str:
         if not self.breakpoints:
             return f"[{self.segments[0]}]"
-        parts = [f"{self.segments[0]} | x <= {_scalar_str(self.breakpoints[0])}"]
-        for k, bp in enumerate(self.breakpoints):
-            upper = (
-                f" <= {_scalar_str(self.breakpoints[k + 1])}"
-                if k + 1 < len(self.breakpoints)
-                else ""
-            )
-            parts.append(f"{self.segments[k + 1]} | {_scalar_str(bp)} < x{upper}")
+        # Each label is printed twice; an algebraic one is refined on a copy.
+        labels = [_scalar_str(bp) for bp in self.breakpoints]
+        parts = [f"{self.segments[0]} | x <= {labels[0]}"]
+        for k, label in enumerate(labels):
+            upper = f" <= {labels[k + 1]}" if k + 1 < len(labels) else ""
+            parts.append(f"{self.segments[k + 1]} | {label} < x{upper}")
         return "[" + " ; ".join(parts) + "]"
 
 
 def _scalar_str(s: Scalar) -> str:
     if isinstance(s, AlgebraicNumber):
-        return f"~{s.decimal(6)}"
+        return _approximation(s)
     return str(s)
 
 

@@ -274,3 +274,25 @@ def test_bundled_data_is_what_the_generator_writes():
     assert shipped == set(module.DATASETS) == set(BUNDLED)
     for name, manifest in module.DATASETS.items():
         assert bundled_text(name) == serialize_manifest(manifest), name
+
+
+def _ambiguous_manifest() -> str:
+    """A breakpoint literal whose interval holds three roots, not one."""
+    # (x^2 - 2)(x^3 - 3) = x^5 - 2x^3 - 3x^2 + 6 changes sign across (-2, 2)
+    literal = {"poly": [6, 0, -3, -2, 0, 1], "interval": ["-2", "2"]}
+    doc = {"functions": {"f": {"breakpoints": [literal], "segments": [["0"], ["0"]]}}}
+    return json.dumps(doc)
+
+
+def test_ambiguous_algebraic_literal_is_a_syntax_error():
+    with pytest.raises(ManifestSyntaxError, match="functions.f.*holds 3 roots"):
+        parse_manifest(_ambiguous_manifest())
+
+
+def test_ambiguous_algebraic_literal_exits_2(tmp_path, capsys):
+    path = tmp_path / "ambiguous.json"
+    path.write_text(_ambiguous_manifest(), encoding="utf-8")
+    assert run(["--manifest", str(path), "analyze", "--fn", "f"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds 3 roots" in captured.err

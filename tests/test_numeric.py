@@ -19,6 +19,7 @@ from tropicalc.numeric import (
     refine,
     root_value,
     scalar_eq,
+    scalar_sign,
     separators,
     sort_scalars,
     strip_rational_roots,
@@ -29,7 +30,7 @@ from tropicalc.numeric import (
     value_float,
     value_sign,
 )
-from tropicalc.poly import Polynomial, squarefree_part
+from tropicalc.poly import Polynomial, poly_gcd, squarefree_part
 
 
 SQRT2 = algebraic_root(Polynomial.of(-2, 0, 1), 1, 2)
@@ -342,3 +343,176 @@ def test_repr_leaves_serialization_unchanged():
     before = json.dumps(function_to_json(f))
     assert repr(f.breakpoints[1]).startswith("AlgebraicNumber(")
     assert json.dumps(function_to_json(f)) == before
+
+
+# ---------------------------------------------------------------------------
+# Isolated numbers decided by signs, against the Sturm-count rules they replace
+
+
+def reference_compare_rational(alpha, q):
+    """Sign of alpha - q by one Sturm count of alpha's polynomial."""
+    lo, hi = alpha.interval
+    if q <= lo:
+        return numeric.GREATER
+    if q >= hi:
+        return numeric.LESS
+    if alpha.poly(q) == 0:
+        return numeric.EQUAL
+    below = sturm_count(sturm_chain(alpha.poly), lo, q) == 1
+    return numeric.LESS if below else numeric.GREATER
+
+
+def reference_equal(a, b):
+    """Equality by Sturm counts of the gcd on both intervals and their hull."""
+    (alo, ahi), (blo, bhi) = a.interval, b.interval
+    if ahi <= blo or bhi <= alo:
+        return False
+    g = poly_gcd(a.poly, b.poly)
+    if g.degree < 1:
+        return False
+    chain = sturm_chain(g.primitive())
+    if sturm_count(chain, alo, ahi) != 1 or sturm_count(chain, blo, bhi) != 1:
+        return False
+    return sturm_count(chain, min(alo, blo), max(ahi, bhi)) == 1
+
+
+def reference_root_value_is_zero(rv):
+    g = poly_gcd(rv.num, rv.root.poly)
+    if g.degree < 1:
+        return False
+    return sturm_count(sturm_chain(g.primitive()), *rv.root.interval) == 1
+
+
+def _random_squarefree(rnd, degree):
+    return squarefree_part(_random_integer_poly(rnd, degree)).primitive()
+
+
+def _irrational_roots(p):
+    return [r for r in real_roots_in(p) if isinstance(r, AlgebraicNumber)]
+
+
+def _shifted(alpha, c):
+    """alpha - c, built as `polyseg.shift` builds shifted breakpoints."""
+    lo, hi = alpha.interval
+    return AlgebraicNumber(alpha.poly.taylor_shift(c).primitive(), lo - c, hi - c)
+
+
+def _seeded_numbers(rnd):
+    """Roots of random squarefree polynomials of degree 2-6, shifted and negated."""
+    numbers = []
+    for _ in range(6):
+        for alpha in _irrational_roots(_random_squarefree(rnd, rnd.randint(2, 6))):
+            c = F(rnd.randint(-20, 20), rnd.randint(1, 8))
+            numbers += [alpha, -alpha, _shifted(alpha, c)]
+    return numbers
+
+
+def _probes(alpha):
+    """Rationals at and beyond the ends, at the midpoint and close to the root."""
+    lo, hi = alpha.interval
+    near_lo, near_hi = AlgebraicNumber(alpha.poly, lo, hi).refine_to(F(1, 10**6))
+    tiny = F(1, 10**9)
+    return [
+        lo - 1, lo, (lo + hi) / 2, hi, hi + 1, F(0),
+        near_lo, near_hi, near_lo - tiny, near_hi + tiny,
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_comparison_matches_the_sturm_reference(seed):
+    rnd = random.Random(200 + seed)
+    numbers = _seeded_numbers(rnd)
+    assert len(numbers) > 10
+    for alpha in numbers:
+        for q in _probes(alpha):
+            want = reference_compare_rational(alpha, q)
+            assert compare(alpha, q) == want
+            assert compare(q, alpha) == -want
+        assert alpha.sign() == reference_compare_rational(alpha, F(0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equality_matches_the_sturm_reference(seed):
+    rnd = random.Random(300 + seed)
+    overlapping = {True: 0, False: 0}
+    for _ in range(6):
+        p = _random_squarefree(rnd, rnd.randint(2, 4))
+        q = _random_squarefree(rnd, rnd.randint(2, 4))
+        # the roots of p again, now defined by p*q: equal values, other polynomials
+        pool = _irrational_roots(p) + _irrational_roots(q) + _irrational_roots(p * q)
+        for a in pool:
+            for b in pool:
+                want = reference_equal(a, b)
+                assert numeric._maybe_equal(a, b) == want
+                (alo, ahi), (blo, bhi) = a.interval, b.interval
+                if a is not b and max(alo, blo) < min(ahi, bhi):
+                    overlapping[want] += 1
+    assert overlapping[True] > 0 and overlapping[False] > 0
+
+
+def test_equal_numbers_with_different_polynomials():
+    a = algebraic_root(Polynomial.of(-2, 0, 1), 1, 2)  # x^2 - 2
+    b = algebraic_root(Polynomial.of(-4, 0, 0, 0, 1), 1, 2)  # x^4 - 4
+    assert a.poly != b.poly
+    assert numeric._maybe_equal(a, b) and reference_equal(a, b)
+    assert scalar_eq(a, b) and compare(a, b) == 0
+    c = algebraic_root(Polynomial.of(-3, 0, 1), 1, 2)  # sqrt(3), same interval
+    assert not numeric._maybe_equal(a, c) and not reference_equal(a, c)
+    assert compare(a, c) < 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_root_value_zero_test_matches_the_sturm_reference(seed):
+    rnd = random.Random(400 + seed)
+    zeros = nonzeros_sharing = 0
+    for _ in range(6):
+        p1 = _random_squarefree(rnd, rnd.randint(1, 3))
+        p2 = _random_squarefree(rnd, rnd.randint(2, 3))
+        r = _random_integer_poly(rnd, rnd.randint(1, 3))
+        for alpha in _irrational_roots(p1 * p2):
+            for q in (p1 * r, p2 * r, r, r + p1):
+                rv = root_value(q, alpha)
+                want_zero = reference_root_value_is_zero(rv)
+                assert (rv.sign() == 0) == want_zero
+                zeros += want_zero
+                shares = poly_gcd(q, alpha.poly).degree >= 1
+                nonzeros_sharing += shares and not want_zero
+                if not want_zero:
+                    lo, hi = value_enclosure(rv, F(1, 10**30))
+                    assert rv.sign() == (1 if lo > 0 else -1)
+                    assert lo > 0 or hi < 0
+    assert zeros > 0 and nonzeros_sharing > 0
+
+
+def test_comparisons_build_no_sturm_chain(monkeypatch):
+    # +-1/sqrt(2), each on an interval across 0
+    alpha = algebraic_root(Polynomial.of(-1, 0, 2), F(-1, 2), F(1))
+    neg = algebraic_root(Polynomial.of(-1, 0, 2), F(-1), F(1, 2))
+    beta = algebraic_root(Polynomial.of(-1, 0, 0, 0, 4), F(0), F(2))  # alpha again
+    gamma = algebraic_root(Polynomial.of(-3, 0, 1), F(1), F(2))
+    calls = []
+    chain = numeric.sturm_chain
+    monkeypatch.setattr(numeric, "sturm_chain", lambda p: calls.append(p) or chain(p))
+    interval = alpha.interval
+    for q in (F(-1), F(0), F(1, 4), F(7, 10), F(71, 100), F(1)):
+        compare(alpha, q)
+        compare(q, alpha)
+    assert scalar_sign(alpha) == 1 and scalar_sign(neg) == -1
+    assert alpha.interval == interval and neg.interval == (F(-1), F(1, 2))
+    assert scalar_eq(alpha, beta)
+    assert not scalar_eq(alpha, gamma)
+    assert root_value(Polynomial.of(-1, 0, 2), alpha).sign() == 0
+    assert root_value(Polynomial.of(0, 1), gamma).sign() == 1
+    assert calls == []
+
+
+def test_ambiguous_interval_is_rejected_with_its_root_count():
+    # (x^2 - 2)(x^3 - 3) changes sign across (-2, 2) but has three roots there
+    p = Polynomial.of(-2, 0, 1) * Polynomial.of(-3, 0, 0, 1)
+    with pytest.raises(ValueError, match="holds 3 roots"):
+        algebraic_root(p, -2, 2)
+    assert algebraic_root(p, 1, F(17, 12)) < F(3, 2)  # sqrt(2) alone
+
+
+def test_unchecked_number_with_a_root_at_zero_has_sign_zero():
+    assert AlgebraicNumber(Polynomial.of(0, 1), F(-1), F(1)).sign() == 0

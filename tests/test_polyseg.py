@@ -303,3 +303,14 @@ def test_merged_compares_once_per_merge_step(case, monkeypatch):
     monkeypatch.setattr(polyseg, "compare", counted)
     _merged(f, g)
     assert len(calls) == steps
+
+
+def test_printing_leaves_serialization_unchanged():
+    import json
+
+    from tropicalc.manifest import function_to_json
+
+    f = tropical_plus(piecewise([], [[0, 0, 1]]), constant(2))  # max(x^2, 2)
+    before = json.dumps(function_to_json(f))
+    assert "~1.414214" in str(f)
+    assert json.dumps(function_to_json(f)) == before
