@@ -215,7 +215,7 @@ def _cmd_curve_cartan(args, manifest: Manifest):
     }
     if witness is not None:
         payload["common_root"] = {
-            "location": str(witness[0]),
+            "location": _format_value(witness[0]),
             "order": witness[1],
         }
     return payload, (["r", "T"], rows), None

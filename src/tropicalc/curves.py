@@ -41,14 +41,7 @@ from .nevanlinna import (
     counting,
     jensen_report,
 )
-from .numeric import (
-    ExactValue,
-    Scalar,
-    exact_sum,
-    scalar_eq,
-    scale_value,
-    value_sign,
-)
+from .numeric import Scalar, exact_sum, scalar_eq, value_sign
 from .poly import frac
 from .polyseg import (
     PiecewiseFunction,
@@ -69,12 +62,6 @@ def _between(v, lo: Fraction, hi: Fraction) -> bool:
     return (
         value_sign(exact_sum([v, -lo])) >= 0 and value_sign(exact_sum([v, -hi])) <= 0
     )
-
-
-def _abs_value(v):
-    if isinstance(v, ExactValue):
-        return v if value_sign(v) >= 0 else -v
-    return abs(v)
 
 
 @dataclass(frozen=True)
@@ -368,7 +355,7 @@ def smt_homogeneous_check(
         diff = exact_sum([roots_sum, -poles_sum])
         identity_gap = -jensen.residual  # diff - (boundary mean - g(0))
         combined = exact_sum([diff, -(d * t)])
-        residual = scale_value(combined, 1 / d)
+        residual = combined * (1 / d)
         in_band = _between(residual, *band)
         rows.append(
             SmtRow(r, t, roots_sum, poles_sum, residual, in_band, identity_gap)
@@ -428,7 +415,7 @@ def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
             rows.append(FermatRow(r, t, pole_sum, None, None, None))
             continue
         denom = t**q.power
-        ratio = scale_value(pole_sum, 1 / denom)
+        ratio = pole_sum * (1 / denom)
         in_window = _between(ratio, q.theta - slack, q.big_theta + slack)
         rows.append(FermatRow(r, t, pole_sum, ratio, r / t, in_window))
     return FermatReport(q.theta, q.big_theta, q.power, tuple(rows))
@@ -446,20 +433,15 @@ def _window_count(
     hi,
     sign: str,
 ):
-    """N_j over the closed window [lo, hi], clipped to the open disk (-r, r).
+    """N_j over the closed window [lo, hi] cut to the closed disk [-r, r].
 
-    Points exactly at |z| = r contribute (r - |z|)^j = 0, so clipping the
-    window open at +-r never changes the value.
+    A point at |z| = r adds (r - |z|)^j = 0, so the closed cut counts
+    exactly the points of the open disk; an empty window counts 0.
     """
-    lo, hi = frac(lo), frac(hi)
-    closed_lo = closed_hi = True
-    if lo < -r:
-        lo, closed_lo = -r, False
-    if hi > r:
-        hi, closed_hi = r, False
-    if lo > hi or (lo == hi and not (closed_lo and closed_hi)):
+    lo, hi = max(frac(lo), -r), min(frac(hi), r)
+    if lo > hi:
         return Fraction(0)
-    return counting(fn, j, r, (lo, hi, closed_lo, closed_hi), sign)
+    return counting(fn, j, r, (lo, hi, True, True), sign)
 
 
 @dataclass(frozen=True)
@@ -512,14 +494,12 @@ def casoratian_balance(
         r = _positive_radius(r)
         comp_roots = exact_sum([_disk_sums(comp, r)[0] for comp in c.components])
         c0_roots = _disk_sums(c0, r)[0]
-        lhs = _abs_value(exact_sum([comp_roots, -c0_roots]))
+        lhs = abs(exact_sum([comp_roots, -c0_roots]))
         block1_terms = []
         for j in range(1, n + 1):
             c0_poles = counting(c0, j, r)
             shift_poles = exact_sum([counting(s, j, r) for s in shifted])
-            block1_terms.append(
-                _abs_value(exact_sum([c0_poles, -shift_poles]))
-            )
+            block1_terms.append(abs(exact_sum([c0_poles, -shift_poles])))
         block1 = exact_sum(block1_terms)
         block2_terms = []
         for i in range(c.arity):
@@ -530,7 +510,7 @@ def casoratian_balance(
                 b = _window_count(
                     c.components[i], j2, r, -i * step, i * step, POLES_OF_NEG_F
                 )
-                block2_terms.append(_abs_value(exact_sum([a, -b])))
+                block2_terms.append(abs(exact_sum([a, -b])))
         block2 = exact_sum(block2_terms)
         excess = exact_sum([lhs, -block1, -block2])
         rows.append(CasoratianRow(r, lhs, block1, block2, excess))

@@ -46,11 +46,7 @@ from .numeric import (
     exact_sum,
     poly_sign_at,
     root_value,
-    scalar_abs,
-    scalar_sign,
-    scale_value,
     value_enclosure,
-    value_float,
     value_sign,
 )
 from .poly import Polynomial, frac
@@ -69,7 +65,7 @@ from .polyseg import (
     sign_runs,
 )
 from .singular import (  # noqa: F401  (omega_at is re-exported)
-    _format_scalar,
+    _format_value,
     _profiles,
     _profiles_in,
     _report_json,
@@ -117,8 +113,8 @@ def counting(
     """
     r = _positive_radius(r)
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
-    terms = [_mul_power(w, z, r, j, minus=scalar_sign(z) > 0) for z, w in rows]
-    return scale_value(exact_sum(terms), _HALF)
+    terms = [_mul_power(w, z, r, j, minus=value_sign(z) > 0) for z, w in rows]
+    return exact_sum(terms) * _HALF
 
 
 def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
@@ -131,13 +127,13 @@ def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
     poles: list = []
     for profile in _profiles_in(f, -r, r):
         z = profile.location
-        right = scalar_sign(z) > 0  # r - |z| is r - z right of 0, r + z left of it
+        right = value_sign(z) > 0  # r - |z| is r - z right of 0, r + z left of it
         for j, sign, w in profile.entries:
             if sign > 0:
                 roots.append(_mul_power(w, z, r, j, minus=right))
             else:
                 poles.append(_mul_power(-w, z, r, j, minus=right))
-    return scale_value(exact_sum(roots), _HALF), scale_value(exact_sum(poles), _HALF)
+    return exact_sum(roots) * _HALF, exact_sum(poles) * _HALF
 
 
 def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
@@ -192,15 +188,9 @@ def counting_oracle(
     rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
     thresholds: list[tuple[Fraction, Fraction]] = []
     for z, w in rows:
-        if isinstance(z, Fraction):
-            magnitude = abs(z)
-        else:
-            lo_, hi_ = scalar_abs(z).refine_to(mesh / 8)
-            magnitude = (lo_ + hi_) / 2
-        if not isinstance(w, Fraction):
-            lo_, hi_ = w.enclosure(mesh / 8)
-            w = (lo_ + hi_) / 2
-        thresholds.append((magnitude, w))
+        z_lo, z_hi = value_enclosure(abs(z), mesh / 8)
+        w_lo, w_hi = value_enclosure(w, mesh / 8)
+        thresholds.append(((z_lo + z_hi) / 2, (w_lo + w_hi) / 2))
     thresholds.sort(key=lambda t: t[0])
     total = Fraction(0)
     cumulative = Fraction(0)
@@ -266,8 +256,6 @@ class JensenReport:
 
 def _residual_vanishes(residual) -> bool:
     """A literal zero, or an exact residual whose 1e-12 enclosure holds 0."""
-    if isinstance(residual, Fraction):
-        return residual == 0
     lo, hi = value_enclosure(residual, Fraction(1, 10**12))
     return lo <= 0 <= hi
 
@@ -275,7 +263,7 @@ def _residual_vanishes(residual) -> bool:
 def jensen_report(f: PiecewiseFunction, r) -> JensenReport:
     """Reconstruct f(0) = boundary mean - root sum + pole sum, itemized."""
     r = _positive_radius(r)
-    boundary = scale_value(exact_sum([evaluate(f, r), evaluate(f, -r)]), _HALF)
+    boundary = exact_sum([evaluate(f, r), evaluate(f, -r)]) * _HALF
     roots, poles = _disk_sums(f, r)
     reconstructed = exact_sum([boundary, -roots, poles])
     reference = evaluate(f, 0)
@@ -344,7 +332,7 @@ def counting_profile(
     r_max = _positive_radius(r_max)
     weights: dict[Fraction, Fraction] = {}
     for z, w in _counted_rows(f, j, sign):
-        if compare(scalar_abs(z), r_max) >= 0:
+        if compare(abs(z), r_max) >= 0:
             continue
         if not isinstance(z, Fraction) or not isinstance(w, Fraction):
             raise AlgebraicSingularity(z)
@@ -402,7 +390,7 @@ def profile_json(rp: RadiusProfile) -> dict:
     return {
         "kind": rp.kind if rp.order is None else f"{rp.kind}{rp.order}",
         "r_max": str(rp.r_max),
-        "breakpoints": [_format_scalar(b) for b in rp.profile.breakpoints],
+        "breakpoints": [_format_value(b) for b in rp.profile.breakpoints],
         "segments": [[str(c) for c in s.coeffs] for s in rp.profile.segments],
     }
 
@@ -444,9 +432,7 @@ def lemma31_sum(f: PiecewiseFunction, x, r, side: str):
             if side == RIGHT_TO_R:
                 terms.append(_mul_power(tau, y, r, j, minus=True))
             else:
-                terms.append(
-                    scale_value(_mul_power(tau, y, r, j, minus=False), Fraction(-1) ** j)
-                )
+                terms.append(_mul_power(tau, y, r, j, minus=False) * Fraction(-1) ** j)
     return exact_sum(terms)
 
 
@@ -464,7 +450,7 @@ def _mul_power(weight, y: Scalar, r: Fraction, j: int, minus: bool):
 
 
 def _region_of(y: Scalar, x: Fraction) -> str:
-    sy = scalar_sign(y)
+    sy = value_sign(y)
     rel = compare(y, x)
     if sy < 0:
         if rel == 0:
@@ -603,22 +589,16 @@ def poisson_jensen(f: PiecewiseFunction, x, r) -> PoissonJensenReport:
                     jets_minus = evaluate_jet(f, y, MINUS, n)
                 left_jet = jets_minus[j]
             omega_weight = exact_sum(
-                [
-                    scale_value(w, Fraction(_omega_factor_B(region, j))),
-                    scale_value(left_jet, Fraction(left_b)),
-                ]
+                [w * Fraction(_omega_factor_B(region, j)), left_jet * Fraction(left_b)]
             )
             gamma_weight = exact_sum(
-                [
-                    scale_value(w, Fraction(_omega_factor_D(region, j))),
-                    scale_value(left_jet, Fraction(left_d)),
-                ]
+                [w * Fraction(_omega_factor_D(region, j)), left_jet * Fraction(left_d)]
             )
             energy = _energy_power(r, x, y, j)
             sb = Fraction(_omega_factor_B(region, j)) * _b_aux(r, x, n - j) / (2 * b_n)
             sd = Fraction(_omega_factor_D(region, j)) * _d_aux(r, x, n - j) / (2 * b_n)
-            b_term = scale_value(w * energy, sb)
-            d_term = scale_value(w * energy, sd)
+            b_term = w * energy * sb
+            d_term = w * energy * sd
             b_terms.append(b_term)
             d_terms.append(d_term)
             contributions.append(
@@ -717,9 +697,7 @@ def lemma44_check(f: PiecewiseFunction, c, alpha, r) -> Lemma44Report:
     lhs_plus = abs(log_difference(f, c, 1, r))
     lhs_minus = abs(log_difference(f, c, -1, r))
     big_t = characteristic(f, alpha * (r + abs(c)))
-    if not isinstance(big_t, Fraction):
-        lo, hi = value_enclosure(big_t, Fraction(1, 10**12))
-        big_t = hi  # upper bound keeps the check sound
+    _, big_t = value_enclosure(big_t, Fraction(1, 10**12))  # upper bound: still sound
     rhs = (
         32 * abs(c) / ((alpha - 1) * (r + abs(c))) * (big_t + abs(evaluate(f, 0)) / 2)
     )
@@ -844,7 +822,7 @@ def growth_estimates(profile: RadiusProfile, grid: Sequence) -> GrowthEstimates:
         if r <= 1:
             raise ValueError(f"grid radii must be > 1, got {r}")
         t = profile(r)
-        t_float = value_float(t)
+        t_float = float(t)
         if t_float <= 0 or (isinstance(t, Fraction) and t <= 0):
             raise NonPositiveValues(f"profile value {t_float} <= 0 at r = {r}")
         if t_float <= 1:

@@ -11,6 +11,11 @@ derived quantity can be enclosed in an interval of requested width.
 Value sums that mix rationals with polynomial expressions evaluated at
 several distinct algebraic points are carried by :class:`ExactValue`, which
 cancels exactly within each root and encloses the remainder on demand.
+
+This module is the one home of exact quantities: `value_enclosure`,
+`value_sign`, `*` by a rational, `abs` and `_approximation` take every kind
+(int, Fraction, AlgebraicNumber, RootValue, ExactValue), so no other module
+branches on the kind of a value to enclose, sign, scale or print it.
 """
 
 from __future__ import annotations
@@ -292,12 +297,11 @@ class AlgebraicNumber:
         lo, hi = self.refine_to(Fraction(1, 10**18))
         return float((lo + hi) / 2)
 
-    def decimal(self, digits: int = 12) -> str:
-        lo, hi = self.refine_to(Fraction(1, 10 ** (digits + 3)))
-        return decimal_string((lo + hi) / 2, digits)
-
     def __neg__(self) -> "AlgebraicNumber":
         return AlgebraicNumber(self.poly.reflect().primitive(), -self._hi, -self._lo)
+
+    def __abs__(self) -> "AlgebraicNumber":
+        return -self if self.sign() < 0 else self
 
     # -- comparisons ------------------------------------------------------------
 
@@ -347,12 +351,6 @@ class AlgebraicNumber:
 
 
 Scalar = Union[Fraction, AlgebraicNumber]
-
-
-def _approximation(alpha: AlgebraicNumber) -> str:
-    """"~" and alpha to 6 places, refined on a copy: printing must not narrow
-    the interval that serialization writes."""
-    return "~" + AlgebraicNumber(alpha.poly, *alpha.interval).decimal(6)
 
 
 def algebraic_root(poly: Polynomial, lo, hi) -> AlgebraicNumber:
@@ -450,28 +448,6 @@ def _separate(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         a._halve()
         b._halve()
     raise PrecisionExhausted("failed to separate distinct algebraic numbers")
-
-
-def refine(s: Scalar, eps) -> tuple[Fraction, Fraction]:
-    """An enclosing interval of width <= eps around the scalar."""
-    eps = frac(eps)
-    if eps <= 0:
-        raise NonPositiveEps(f"eps = {eps}")
-    if isinstance(s, int):
-        s = Fraction(s)
-    if isinstance(s, Fraction):
-        return s, s
-    return s.refine_to(eps)
-
-
-def scalar_sign(s: Scalar) -> int:
-    if isinstance(s, AlgebraicNumber):
-        return s.sign()
-    return sign_of(frac(s) if not isinstance(s, Fraction) else s)
-
-
-def scalar_abs(s: Scalar) -> Scalar:
-    return -s if scalar_sign(s) < 0 else s
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
@@ -653,26 +629,44 @@ class ExactValue:
         return ExactValue(-self.rational, tuple(-p for p in self.parts))
 
     def __sub__(self, other):
-        return exact_sum([self, _negate_term(other)])
+        return exact_sum([self, -other])
 
     def __rsub__(self, other):
         return exact_sum([other, -self])
 
-    def scale(self, c) -> "ExactValue":
-        c = frac(c)
+    def __mul__(self, c):
+        """The value times a rational c (a Fraction when c is 0)."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
         return exact_sum(
             [self.rational * c, *(RootValue(p.num.scale(c), p.root) for p in self.parts)]
         )
 
+    __rmul__ = __mul__
+
+    def sign(self) -> int:
+        """Exact when the enclosure leaves 0; an ExactValue that is zero (or
+        too near it) raises PrecisionExhausted."""
+        if not self.parts:
+            return sign_of(self.rational)
+        eps = Fraction(1, 2)
+        for _ in range(64):
+            lo, hi = self.enclosure(eps)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            eps /= 16
+        raise PrecisionExhausted(
+            "cannot resolve the sign of a near-zero mixed algebraic sum exactly"
+        )
+
+    def __abs__(self) -> "ExactValue":
+        return -self if self.sign() < 0 else self
+
     def __repr__(self) -> str:
         lo, hi = self.enclosure(Fraction(1, 10**9))
         return f"ExactValue(~{decimal_string((lo + hi) / 2, 9)})"
-
-
-def _negate_term(t):
-    if isinstance(t, (int, Fraction)):
-        return -frac(t)
-    return -t
 
 
 def exact_sum(terms: Iterable) -> Value:
@@ -715,15 +709,13 @@ def exact_sum(terms: Iterable) -> Value:
     return ExactValue(rational, tuple(parts))
 
 
-def scale_value(v, c) -> Value:
-    """c * v for a rational c and a Fraction, RootValue or ExactValue v."""
-    if isinstance(v, ExactValue):
-        return v.scale(c)
-    return v * c
+# ---------------------------------------------------------------------------
+# Any exact quantity.  Enclosing narrows algebraic intervals in place (a
+# cache); printing an AlgebraicNumber refines a copy.
 
 
 def value_enclosure(v, eps) -> tuple[Fraction, Fraction]:
-    """Enclose any scalar-like value (Fraction, RootValue, ExactValue)."""
+    """A rational interval of width <= eps around an exact quantity."""
     eps = frac(eps)
     if eps <= 0:
         raise NonPositiveEps(f"eps = {eps}")
@@ -731,33 +723,31 @@ def value_enclosure(v, eps) -> tuple[Fraction, Fraction]:
         v = Fraction(v)
     if isinstance(v, Fraction):
         return v, v
+    if isinstance(v, AlgebraicNumber):
+        return v.refine_to(eps)
     return v.enclosure(eps)
 
 
-def value_float(v) -> float:
-    return float(v)
+refine = value_enclosure
 
 
 def value_sign(v) -> int:
-    """Exact sign for Fractions and RootValues; ExactValue only when one-sided."""
-    if isinstance(v, int):
-        return sign_of(Fraction(v))
-    if isinstance(v, Fraction):
+    """Exact sign; an ExactValue only when it is one-sided (see its `sign`)."""
+    if isinstance(v, (int, Fraction)):
         return sign_of(v)
-    if isinstance(v, RootValue):
+    if isinstance(v, (AlgebraicNumber, RootValue, ExactValue)):
         return v.sign()
-    if isinstance(v, ExactValue):
-        if not v.parts:
-            return sign_of(v.rational)
-        eps = Fraction(1, 2)
-        for _ in range(64):
-            lo, hi = v.enclosure(eps)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            eps /= 16
-        raise PrecisionExhausted(
-            "cannot resolve the sign of a near-zero mixed algebraic sum exactly"
-        )
     raise TypeError(f"no sign for {v!r}")
+
+
+def _approximation(v, digits: int = 6) -> str:
+    """An exact quantity for display: a rational as p/q, anything else as "~"
+    and the midpoint of a 10^-(digits+3) enclosure to `digits` places.  An
+    algebraic number is refined on a copy: printing must not narrow the
+    interval that serialization writes."""
+    if isinstance(v, (int, Fraction)):
+        return str(v)
+    if isinstance(v, AlgebraicNumber):
+        v = AlgebraicNumber(v.poly, *v.interval)
+    lo, hi = value_enclosure(v, Fraction(1, 10 ** (digits + 3)))
+    return "~" + decimal_string((lo + hi) / 2, digits)

@@ -67,18 +67,12 @@ class PiecewiseFunction:
         if not self.breakpoints:
             return f"[{self.segments[0]}]"
         # Each label is printed twice; an algebraic one is refined on a copy.
-        labels = [_scalar_str(bp) for bp in self.breakpoints]
+        labels = [_approximation(bp) for bp in self.breakpoints]
         parts = [f"{self.segments[0]} | x <= {labels[0]}"]
         for k, label in enumerate(labels):
             upper = f" <= {labels[k + 1]}" if k + 1 < len(labels) else ""
             parts.append(f"{self.segments[k + 1]} | {label} < x{upper}")
         return "[" + " ; ".join(parts) + "]"
-
-
-def _scalar_str(s: Scalar) -> str:
-    if isinstance(s, AlgebraicNumber):
-        return _approximation(s)
-    return str(s)
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +96,12 @@ def piecewise(
     for k, bp in enumerate(bps):
         diff = segs[k] - segs[k + 1]
         if poly_sign_at(diff, bp) != 0:
-            probe = frac_approx(bp)
+            lo, hi = refine(bp, Fraction(1, 1024))
+            probe = (lo + hi) / 2  # a rational stand-in for the message
             raise DiscontinuityDetected(
                 bp, left=segs[k](probe), right=segs[k + 1](probe), name=name
             )
     return _fuse(bps, segs)
-
-
-def frac_approx(s: Scalar) -> Fraction:
-    """A rational stand-in for error messages only."""
-    if isinstance(s, Fraction):
-        return s
-    lo, hi = refine(s, Fraction(1, 1024))
-    return (lo + hi) / 2
 
 
 def _fuse(bps: Sequence[Scalar], segs: Sequence[Polynomial]) -> PiecewiseFunction:

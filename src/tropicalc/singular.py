@@ -35,13 +35,11 @@ from .numeric import (
     ExactValue,
     RootValue,
     Scalar,
+    _approximation,
     compare,
-    decimal_string,
     root_value,
     scalar_eq,
-    scalar_sign,
     sort_scalars,
-    value_enclosure,
     value_sign,
 )
 from .poly import Polynomial, frac
@@ -87,7 +85,7 @@ def omega_at(
     n = max_order if max_order is not None else max(1, f.degree_bound)
     plus = governing_segment(f, x, PLUS)
     minus = governing_segment(f, x, MINUS)
-    s = scalar_sign(x)
+    s = value_sign(x)
     if s == 0:  # sgn(0+)^(j+1) = 1, sgn(0-)^(j+1) = (-1)^(j+1)
         a, b = plus.coefficient, minus.coefficient
         tau = [a(j) - b(j) for j in range(1, n + 1)]
@@ -119,33 +117,25 @@ class Singularity:
 
     def as_row(self) -> tuple[str, int, str, str]:
         return (
-            _format_scalar(self.location),
+            _format_value(self.location),
             self.order,
             self.kind,
             _format_value(self.multiplicity),
         )
 
 
-def _format_scalar(s) -> str:
-    if isinstance(s, AlgebraicNumber):
-        return "~" + s.decimal(12)
-    return str(s)
-
-
 def _format_value(v) -> str:
-    """A Fraction as p/q; any other exact value as ~ and 12 decimals."""
-    if isinstance(v, Fraction):
-        return str(v)
-    lo, hi = value_enclosure(v, Fraction(1, 10**15))
-    return "~" + decimal_string((lo + hi) / 2, 12)
+    """A rational as p/q; any other exact quantity as ~ and 12 decimals."""
+    return _approximation(v, 12)
 
 
 def _report_json(report) -> dict:
     """A report dataclass as JSON, field by field, plus `passed` if it has one.
 
     A field is emitted under its name, or under `metadata["key"]` when given.
-    Algebraic locations render like `_format_scalar`, exact values like
-    `_format_value`, and nested rows recursively.
+    Exact quantities (rationals, algebraic locations, values at algebraic
+    points) render through `_format_value`, so an algebraic location is
+    printed without narrowing its interval; nested rows render recursively.
     """
     out = {
         f.metadata.get("key", f.name): _json_value(getattr(report, f.name))
@@ -162,9 +152,7 @@ def _json_value(v):
         return v
     if isinstance(v, (list, tuple)):
         return [_json_value(x) for x in v]
-    if isinstance(v, AlgebraicNumber):
-        return _format_scalar(v)
-    if isinstance(v, (Fraction, RootValue, ExactValue)):
+    if isinstance(v, (Fraction, AlgebraicNumber, RootValue, ExactValue)):
         return _format_value(v)
     return _report_json(v)
 
@@ -217,14 +205,14 @@ class SingularityTable:
                         break
             grid_rows.append({"order": order, "kind": kind, "cells": cells})
         return {
-            "locations": [_format_scalar(x) for x in locations],
+            "locations": [_format_value(x) for x in locations],
             "rows": grid_rows,
         }
 
 
 def _candidate_points(f: PiecewiseFunction) -> list[Scalar]:
     candidates: list[Scalar] = list(f.breakpoints)
-    if not any(scalar_sign(bp) == 0 for bp in candidates):
+    if not any(value_sign(bp) == 0 for bp in candidates):
         candidates.append(Fraction(0))  # the origin is always singularity-eligible
     return sort_scalars(candidates)
 

@@ -312,6 +312,44 @@ def test_curve_casoratian_display(capsys):
     assert by_kind[("root", 2)] == [None, "2"]
 
 
+def _twin_curve_manifest(tmp_path, breakpoints, segments):
+    """A curve of two copies of one function, so every root is common."""
+    manifest = {
+        "functions": {"m": {"breakpoints": breakpoints, "segments": segments}},
+        "curves": {"twin": ["m", "m"]},
+    }
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return str(path)
+
+
+def test_curve_cartan_prints_the_common_root_like_other_locations(capsys, tmp_path):
+    sqrt2 = {"poly": [-2, 0, 1], "interval": ["1", "2"]}
+    neg_sqrt2 = {"poly": [-2, 0, 1], "interval": ["-2", "-1"]}
+    max_square_two = _twin_curve_manifest(
+        tmp_path, [neg_sqrt2, sqrt2], [["0", "0", "1"], ["2"], ["0", "0", "1"]]
+    )
+    rc, out, _ = invoke(
+        capsys,
+        "--manifest", max_square_two,
+        "curve", "cartan", "--curve", "twin", "--r-max", "2", "--grid", "1:2:1",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["reduced"] is False
+    assert doc["common_root"] == {"location": "~-1.414213562373", "order": 1}
+    assert doc["closed_form"]["breakpoints"] == ["~1.414213562373"]
+
+    absolute = _twin_curve_manifest(tmp_path, ["-1/2"], [["-1", "-1"], ["0", "1"]])
+    rc, out, _ = invoke(
+        capsys,
+        "--manifest", absolute,
+        "curve", "cartan", "--curve", "twin", "--r-max", "2", "--grid", "1:2:1",
+    )
+    assert rc == 0
+    assert json.loads(out)["common_root"] == {"location": "-1/2", "order": 1}
+
+
 def test_curve_compose_fermat(capsys):
     rc, out, _ = invoke(
         capsys,

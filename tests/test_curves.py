@@ -8,6 +8,7 @@ import pytest
 
 from tropicalc.curves import (
     FermatForm,
+    _window_count,
     TropicalCurve,
     TropicalPolynomialMap,
     cartan,
@@ -29,7 +30,7 @@ from tropicalc.errors import (
     NotEntireComponent,
     TooManyComponents,
 )
-from tropicalc.nevanlinna import characteristic
+from tropicalc.nevanlinna import POLES_OF_F, POLES_OF_NEG_F, characteristic, counting
 from tropicalc import randgen
 from tropicalc.numeric import exact_sum, scalar_eq, value_sign
 from tropicalc.poly import Polynomial
@@ -462,3 +463,41 @@ def test_composite_is_built_once_per_curve_and_map(sums_formed):
         assert compose_tropical(p, twin) is not g
         assert compose_tropical(p, twin) == g
     assert len(sums_formed) == both + per_build
+
+
+def _window_count_by_open_clipping(fn, j, r, lo, hi, sign):
+    """The reference: the closed window clipped open at +-r where it leaves
+    the disk, a point window counted only when closed on both sides."""
+    lo, hi = F(lo), F(hi)
+    closed_lo = closed_hi = True
+    if lo < -r:
+        lo, closed_lo = -r, False
+    if hi > r:
+        hi, closed_hi = r, False
+    if lo > hi or (lo == hi and not (closed_lo and closed_hi)):
+        return F(0)
+    return counting(fn, j, r, (lo, hi, closed_lo, closed_hi), sign)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_count_matches_the_open_clipping(seed):
+    rnd = randgen.rng(seed)
+    cur = randgen.random_linear_curve(rnd, arity=3)
+    fns = [*cur.components, randgen.random_function(rnd, degree=2, max_breaks=3)]
+    for fn in fns:
+        # radii at breakpoints put singular points on the circle |z| = r
+        radii = sorted({F(1, 2), F(3), *(abs(bp) for bp in fn.breakpoints if bp != 0)})
+        for step in (F(1), F(-1), F(1, 2), F(-1, 2)):
+            shifted = shift(fn, step)
+            for i in range(3):
+                windows = ((-2 * i * step, 0), (-i * step, i * step))
+                for g, (lo, hi), r, j, sign in (
+                    (g, w, r, j, sign)
+                    for g in (fn, shifted)
+                    for w in windows
+                    for r in radii
+                    for j in (1, 2)
+                    for sign in (POLES_OF_F, POLES_OF_NEG_F)
+                ):
+                    want = _window_count_by_open_clipping(g, j, r, lo, hi, sign)
+                    assert _window_count(g, j, r, lo, hi, sign) == want

@@ -12,7 +12,7 @@ import pytest
 import tropicalc.curves as curves
 import tropicalc.nevanlinna as nev
 from tropicalc import randgen
-from tropicalc.numeric import exact_sum, scale_value
+from tropicalc.numeric import exact_sum
 from tropicalc.polyseg import constant, evaluate, linear_combine, piecewise, tropical_plus
 
 SEEDS = range(36)
@@ -47,7 +47,7 @@ def _reference_counting_difference(h, r):
     lhs = exact_sum([roots, -poles])
     rhs = exact_sum(
         [
-            scale_value(exact_sum([evaluate(h, r), evaluate(h, -r)]), F(1, 2)),
+            exact_sum([evaluate(h, r), evaluate(h, -r)]) * F(1, 2),
             -evaluate(h, 0),
         ]
     )

@@ -38,7 +38,7 @@ from tropicalc.nevanlinna import (
     profile_flags,
     proximity,
 )
-from tropicalc.numeric import exact_sum, poly_sign_at, scalar_sign
+from tropicalc.numeric import exact_sum, poly_sign_at, value_sign
 from tropicalc.poly import Polynomial
 from tropicalc.polyseg import (
     MINUS,
@@ -230,7 +230,7 @@ def test_poisson_jensen_rejects_boundary_points(showcase):
 
 def _region_weights(region, j, jet_plus, jet_minus, y):
     """(Omega, Gamma) weights of the region decomposition, from one-sided jets."""
-    sy = scalar_sign(y)
+    sy = value_sign(y)
     sp = sy if sy != 0 else 1
     sm = sy if sy != 0 else -1
     omega = sp ** (j + 1) * jet_plus - sm ** (j + 1) * jet_minus

@@ -37,7 +37,7 @@ from tropicalc.polyseg import (
     reflect,
     sign_runs,
 )
-from tropicalc.singular import _format_scalar
+from tropicalc.singular import _format_value
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _reference_json(kind, prof, r_max):
     return {
         "kind": kind,
         "r_max": str(r_max),
-        "breakpoints": [_format_scalar(b) for b in prof.breakpoints[:cut]],
+        "breakpoints": [_format_value(b) for b in prof.breakpoints[:cut]],
         "segments": [[str(c) for c in s.coeffs] for s in prof.segments[: cut + 1]],
     }
 

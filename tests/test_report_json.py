@@ -25,7 +25,7 @@ from tropicalc.nevanlinna import (
 from tropicalc.numeric import AlgebraicNumber, ExactValue, RootValue
 from tropicalc.polyseg import constant, linear_combine, piecewise, tropical_plus
 from tropicalc.randgen import random_function, random_linear_curve, rng
-from tropicalc.singular import _format_scalar, _format_value, _report_json
+from tropicalc.singular import _format_value, _report_json
 
 
 def _jensen_reference(rep):
@@ -54,7 +54,7 @@ def _poisson_jensen_reference(rep):
         "correction_zero": _format_value(rep.correction_zero),
         "contributions": [
             {
-                "location": _format_scalar(c.location),
+                "location": _format_value(c.location),
                 "order": c.order,
                 "region": c.region,
                 "omega": _format_value(c.omega),

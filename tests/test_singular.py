@@ -7,7 +7,6 @@ from tropicalc.numeric import (
     RootValue,
     compare,
     scalar_eq,
-    scalar_sign,
     sort_scalars,
     value_sign,
 )
@@ -231,7 +230,7 @@ def _jumps_by_one_sided_jets(f, x, n):
     """(tau, omega) by omega_at's former body: two jets subtracted order by order."""
     jet_plus = evaluate_jet(f, x, PLUS, n)
     jet_minus = evaluate_jet(f, x, MINUS, n)
-    s = scalar_sign(x)
+    s = value_sign(x)
 
     def collapse(v):
         if isinstance(v, RootValue) and v.is_rational:
