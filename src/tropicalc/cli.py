@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import curves as curves_mod
 from . import nevanlinna as nev
-from .errors import ManifestError, TropicalcError, UnknownReference
+from .errors import TropicalcError, UnknownReference
 from .manifest import Manifest, function_to_json, load_manifest, parse_manifest
 from .numeric import decimal_string
 from .poly import frac
@@ -462,32 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEEDS_MANIFEST = {
-    "analyze",
-    "characteristic",
-    "jensen",
-    "pj",
-    "curve-cartan",
-    "curve-compose",
-    "curve-casoratian",
-    "verify-smt",
-    "verify-fermat",
-    "verify-casoratian-balance",
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        manifest = None
-        if args.name in _NEEDS_MANIFEST or (
-            args.name in {"verify-jensen-sweep", "verify-lemma44"}
-            and getattr(args, "fn", None) is not None
-        ):
+        manifest = None  # loaded exactly when a command names a function or curve
+        if any(getattr(args, key, None) is not None for key in ("fn", "curve")):
             manifest = _load_source(args.manifest)
         payload, csv_data, passed = args.handler(args, manifest)
-    except (ManifestError, TropicalcError, ValueError, OSError) as e:
+    except (TropicalcError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.decimal is not None:

@@ -4,7 +4,8 @@ A curve here is a tuple (f_0, ..., f_m) of pole-free components considered up
 to a common additive gauge.  The module provides:
 
 * the Cartan-style characteristic T(r) = (F(r) + F(-r))/2 - F(0) with
-  F = max_i f_i, as values and as a closed-form radius profile;
+  F = max_i f_i, as values read off the components at r, -r and 0, and as
+  a closed-form radius profile (the one place that builds the envelope F);
 * compositions with max-plus polynomial maps (max over monomials) and with
   Fermat-type forms (ordinary weighted sums of n-th powers);
 * the max-plus Casoratian (permanent of the shift matrix);
@@ -128,18 +129,31 @@ def _warn_if_not_reduced(c: TropicalCurve) -> None:
     ok, witness = check_reduced(c)
     if not ok:
         warnings.warn(
-            f"curve is not reduced: common root at {witness[0]!r} of order "
+            f"curve is not reduced: common root at {witness[0]} of order "
             f"{witness[1]}; the characteristic depends on the representation",
             stacklevel=3,
         )
 
 
+def _envelope_at(c: TropicalCurve, x) -> Fraction:
+    """F(x) = max_i f_i(x) at a rational x, read off the components."""
+    return max(evaluate(comp, x) for comp in c.components)
+
+
+def _cartan_value(c: TropicalCurve, r: Fraction) -> Fraction:
+    """T(r) = (F(r) + F(-r))/2 - F(0), without building the envelope F."""
+    return (_envelope_at(c, r) + _envelope_at(c, -r)) / 2 - _envelope_at(c, 0)
+
+
 def cartan(c: TropicalCurve, r) -> Fraction:
-    """(F(r) + F(-r))/2 - F(0) with F the component-wise maximum."""
+    """(F(r) + F(-r))/2 - F(0) with F the component-wise maximum.
+
+    F is read off the components at r, -r and 0; only `cartan_profile`,
+    which needs F in closed form, builds the envelope.
+    """
     r = _positive_radius(r)
     _warn_if_not_reduced(c)
-    env = c.envelope()
-    return (evaluate(env, r) + evaluate(env, -r)) / 2 - evaluate(env, 0)
+    return _cartan_value(c, r)
 
 
 def cartan_profile(c: TropicalCurve, r_max) -> RadiusProfile:
@@ -339,17 +353,16 @@ def smt_homogeneous_check(
             raise MissingPurePowers(k)
     _warn_if_not_reduced(c)
     g = compose_tropical(p, c)
-    env = c.envelope()
     beta = max(coeff for _, coeff in p.monomials if coeff is not None)
     gamma = min(p.pure_power_coefficient(k) for k in range(p.arity))
     g0 = evaluate(g, 0)
-    f0 = evaluate(env, 0)
+    f0 = _envelope_at(c, 0)
     d = Fraction(p.degree)
     band = ((gamma - g0) / d + f0, (beta - g0) / d + f0)
     rows = []
     for r in r_grid:
         r = _positive_radius(r)
-        t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
+        t = _cartan_value(c, r)
         jensen = jensen_report(g, r)
         roots_sum, poles_sum = jensen.root_sum, jensen.pole_sum
         diff = exact_sum([roots_sum, -poles_sum])
@@ -403,12 +416,10 @@ def fermat_bounds(q: FermatForm, c: TropicalCurve, r_grid) -> FermatReport:
             )
     _warn_if_not_reduced(c)
     g = compose_fermat(q, c)
-    env = c.envelope()
-    f0 = evaluate(env, 0)
     rows = []
     for r in r_grid:
         r = _positive_radius(r)
-        t = (evaluate(env, r) + evaluate(env, -r)) / 2 - f0
+        t = _cartan_value(c, r)
         pole_sum = _disk_sums(g, r)[0]
         slack = Fraction(10) / r
         if t == 0:

@@ -107,7 +107,7 @@ class AlgebraicSingularity(TropicalcError, ValueError):
         self.location = location
         super().__init__(
             "counting profiles need rational singularity data; "
-            f"got an algebraic point at x = {location!r} inside the radius"
+            f"got an algebraic point at x = {location} inside the radius"
         )
 
 

@@ -32,9 +32,10 @@ from fractions import Fraction
 
 from .curves import FermatForm, TropicalCurve, TropicalPolynomialMap
 from .errors import (
-    DiscontinuityDetected,
     DuplicateName,
+    ManifestError,
     ManifestSyntaxError,
+    TropicalcError,
     UnknownReference,
 )
 from .numeric import AlgebraicNumber, Scalar, algebraic_root
@@ -80,7 +81,7 @@ def _parse_scalar(node, where: str) -> Scalar:
         hi = _parse_rational(interval[1], f"{where}.interval")
         try:
             return algebraic_root(poly, lo, hi)
-        except (ValueError, ArithmeticError) as e:
+        except (TropicalcError, ValueError, ArithmeticError) as e:
             raise ManifestSyntaxError(f"{where}: bad algebraic literal ({e})")
     raise ManifestSyntaxError(f"{where}: cannot read {node!r} as a scalar")
 
@@ -264,10 +265,7 @@ def _parse_function(name: str, node, where: str) -> PiecewiseFunction:
         ]
         for i, seg in enumerate(segs_node)
     ]
-    try:
-        return piecewise(bps, segs)
-    except DiscontinuityDetected as e:
-        raise DiscontinuityDetected(e.location, e.left, e.right, name)
+    return piecewise(bps, segs, name=name)
 
 
 def _parse_factor(node, where: str) -> TropicalFactor:
@@ -323,7 +321,9 @@ def _parse_polynomial(node, where: str):
             )
             power = _parse_int(node.get("power"), f"{where}.power")
             return FermatForm(weights, power)
-    except (ValueError, TypeError) as e:
+    except ManifestError:
+        raise  # already names its place
+    except (TropicalcError, ValueError, TypeError) as e:
         raise ManifestSyntaxError(f"{where}: {e}")
     raise ManifestSyntaxError(
         f"{where}: 'kind' must be 'tropical' or 'fermat', got {kind!r}"

@@ -112,7 +112,7 @@ def counting(
     inside [-r, r]; the default window is the open disk (-r, r).
     """
     r = _positive_radius(r)
-    rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
+    rows = _counted_rows(f, j, sign, _disk_window(r, sub))
     terms = [_mul_power(w, z, r, j, minus=value_sign(z) > 0) for z, w in rows]
     return exact_sum(terms) * _HALF
 
@@ -137,27 +137,25 @@ def _disk_sums(f: PiecewiseFunction, r: Fraction) -> tuple:
 
 
 def _disk_window(r: Fraction, sub: tuple | None) -> tuple:
-    """The counting window and its (closed_left, closed_right) flags read from `sub`."""
+    """The counting window (lo, hi[, closed_lo, closed_hi]): `sub`, checked to
+    sit inside [-r, r], or the open disk (-r, r)."""
     if sub is None:
-        return (-r, r), (False, False)
+        return -r, r
     lo, hi = sub[0], sub[1]
     if compare(lo, -r) < 0 or compare(hi, r) > 0:
         raise WindowOutOfRange(f"window [{lo}, {hi}] is not contained in [-{r}, {r}]")
-    closed_lo = bool(sub[2]) if len(sub) > 2 else False
-    closed_hi = bool(sub[3]) if len(sub) > 3 else False
-    return (lo, hi), (closed_lo, closed_hi)
+    return sub
 
 
-def _counted_rows(
-    f: PiecewiseFunction, j, sign: str, window=None, closed=(False, False)
-) -> list:
-    """(location, |omega_j|) at the order-j poles of f (sign POLES_OF_F) or of -f."""
+def _counted_rows(f: PiecewiseFunction, j, sign: str, window=None) -> list:
+    """(location, |omega_j|) at the order-j poles of f (sign POLES_OF_F) or of -f,
+    over f's whole table or over a window (lo, hi[, closed_lo, closed_hi])."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"order j must be an integer >= 1, got {j!r}")
     if sign not in (POLES_OF_F, POLES_OF_NEG_F):
         raise ValueError(f"unknown sign selector {sign!r}")
     wanted = -1 if sign == POLES_OF_F else 1
-    profiles = _profiles(f) if window is None else _profiles_in(f, *window, *closed)
+    profiles = _profiles(f) if window is None else _profiles_in(f, *window)
     return [
         (p.location, w if s > 0 else -w)
         for p in profiles
@@ -185,7 +183,7 @@ def counting_oracle(
     mesh = frac(mesh)
     if mesh <= 0:
         raise ValueError(f"mesh must be > 0, got {mesh}")
-    rows = _counted_rows(f, j, sign, *_disk_window(r, sub))
+    rows = _counted_rows(f, j, sign, _disk_window(r, sub))
     thresholds: list[tuple[Fraction, Fraction]] = []
     for z, w in rows:
         z_lo, z_hi = value_enclosure(abs(z), mesh / 8)
@@ -326,14 +324,12 @@ def counting_profile(
 ) -> RadiusProfile:
     """Closed-form piecewise polynomial r -> N_j(r, f) on (0, r_max].
 
-    Points with |z| >= r_max add nothing there and are skipped; an algebraic
-    point inside the radius raises AlgebraicSingularity.
+    Only the points of the open window (-r_max, r_max) add to it there; an
+    algebraic point inside it raises AlgebraicSingularity.
     """
     r_max = _positive_radius(r_max)
     weights: dict[Fraction, Fraction] = {}
-    for z, w in _counted_rows(f, j, sign):
-        if compare(abs(z), r_max) >= 0:
-            continue
+    for z, w in _counted_rows(f, j, sign, (-r_max, r_max)):
         if not isinstance(z, Fraction) or not isinstance(w, Fraction):
             raise AlgebraicSingularity(z)
         weights[abs(z)] = weights.get(abs(z), Fraction(0)) + w

@@ -349,6 +349,9 @@ class AlgebraicNumber:
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.poly}, {_approximation(self)})"
 
+    def __str__(self) -> str:
+        return _approximation(self)  # the label str(f) gives a breakpoint
+
 
 Scalar = Union[Fraction, AlgebraicNumber]
 

@@ -17,16 +17,19 @@ at the origin -- is computed once, on first use, and kept on the (immutable)
 function.  Each profile keeps its nonzero jump weights as signed entries
 (order, sign, omega_j), the sign decided once when the profile is built.
 `classify`, the counting functionals and their profiles, the Jensen and
-Poisson-Jensen reports and the curve checks read these entries directly
-(windowed reads through `_profiles_in` and its one window rule); `scan` only
-turns them into display rows, for the CLI and for tests.
+Poisson-Jensen reports and the curve checks read these entries directly;
+the table is sorted by location, so a window of it is the slice between two
+bisections (`_profiles_in`, the one window rule).  `scan` only turns the
+entries into display rows, for the CLI and for tests.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import EmptyWindow
@@ -217,6 +220,9 @@ def _candidate_points(f: PiecewiseFunction) -> list[Scalar]:
     return sort_scalars(candidates)
 
 
+_LOCATION = attrgetter("location")
+
+
 def _profiles(f: PiecewiseFunction) -> tuple[JumpProfile, ...]:
     """Jump profiles at f's candidate points, computed once and kept on f."""
     profiles = getattr(f, "_jump_profiles", None)
@@ -228,9 +234,11 @@ def _profiles(f: PiecewiseFunction) -> tuple[JumpProfile, ...]:
 
 def _profiles_in(
     f: PiecewiseFunction, lo, hi, closed_left: bool = False, closed_right: bool = False
-) -> list[JumpProfile]:
+) -> tuple[JumpProfile, ...]:
     """f's jump profiles inside the window (lo, hi), open unless a side is closed.
 
+    The table is sorted by location, so the window is the slice between two
+    bisections: a closed end keeps a profile on it, an open end drops it.
     A window [a, a] closed on both sides holds the single point a; a window
     that holds no point raises EmptyWindow.
     """
@@ -238,15 +246,11 @@ def _profiles_in(
     c = compare(lo, hi)
     if c > 0 or (c == 0 and not (closed_left and closed_right)):
         raise EmptyWindow(f"window ({lo}, {hi}) is empty")
-    kept = []
-    for p in _profiles(f):
-        cl = compare(lo, p.location)
-        ch = compare(p.location, hi)
-        if (cl < 0 or (cl == 0 and closed_left)) and (
-            ch < 0 or (ch == 0 and closed_right)
-        ):
-            kept.append(p)
-    return kept
+    profiles = _profiles(f)
+    first = bisect_left if closed_left else bisect_right
+    last = bisect_right if closed_right else bisect_left
+    start = first(profiles, lo, key=_LOCATION)
+    return profiles[start : last(profiles, hi, key=_LOCATION)]
 
 
 def scan(
